@@ -40,7 +40,7 @@
 //! standing view or a tap). [`ChangeOp::Despawned`] carries the dropped
 //! row image, so stream consumers (the wealth auditor, delta shipping)
 //! can fold a death without rescanning the world. Catalog ops
-//! (`ComponentDefined`/`CreateIndex`/`DropIndex`/`RegisterView`/
+//! (`ComponentDefined`/`CreateIndex`/`DropIndex`/`RegisterPlanView`/
 //! `DropView`/`RetargetView`) and tick stamps ([`ChangeOp::TickTo`])
 //! describe schema, derived-state lifecycle, and time; views do not
 //! consume them, so they are recorded only while a tap is attached.
@@ -85,7 +85,6 @@ use crate::entity::EntityId;
 use crate::index::IndexKind;
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
-use crate::query::Query;
 
 /// One record of the world's ordered change stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,12 +140,9 @@ pub enum ChangeOp {
     },
     /// The secondary index on a component was dropped.
     DropIndex { component: ComponentId },
-    /// A standing view was registered at a slot.
-    RegisterView { slot: u32, query: Query },
-    /// An operator-tree view (join / group-aggregate / scan chain) was
-    /// registered at a slot — the differential-view sibling of
-    /// [`ChangeOp::RegisterView`], carrying the full plan so WAL redo
-    /// can re-install and re-materialize it at the exact slot.
+    /// A standing view (scan chain / join / group-aggregate operator
+    /// tree) was registered at a slot, carrying the full plan so WAL
+    /// redo can re-install and re-materialize it at the exact slot.
     RegisterPlanView {
         slot: u32,
         plan: crate::dvm::ViewPlan,

@@ -1,15 +1,14 @@
-//! Differential view maintenance: operator-tree standing views.
+//! Differential view maintenance: the standing-view engine.
 //!
-//! PR 2's standing views answer one shape of question — a single-table
-//! filter query — incrementally. The paper's thesis covers far more:
-//! "guild wealth leaderboard" is a group-by aggregate, "players near any
-//! flagged mob" is a spatial join, "per-zone population" is a group-by
-//! count. This module generalizes the view engine to a relational
-//! **operator tree** ([`ViewPlan`]) maintained by per-operator delta
-//! rules in the DBSP / Z-set style: every operator consumes its input's
-//! delta batch — rows carried with ±1 multiplicity — and emits its own,
-//! folded from the very same change-stream segments that feed the
-//! single-table views.
+//! Every recurring question a game asks of its state — "who is below a
+//! health threshold", "who is in my interest bubble", "guild wealth
+//! leaderboard", "players near any flagged mob" — is registered as a
+//! relational **operator tree** ([`ViewPlan`]) and maintained by
+//! per-operator delta rules in the DBSP / Z-set style: every operator
+//! consumes its input's delta batch — rows carried with ±1 multiplicity
+//! — and emits its own, folded from the world's change-stream segments.
+//! A plain [`Query`] view ([`crate::world::World::register_view`]) is
+//! the one-operator tree `ViewPlan::scan(query)`.
 //!
 //! ## Operator taxonomy
 //!
@@ -23,6 +22,17 @@
 //!   stored tuple carries exactly the columns downstream operators read.
 //!   Fusion keeps the hot path one hash probe + one membership check per
 //!   candidate instead of one allocation per operator per delta.
+//! * **Rows** — a plan whose root is such a chain materializes entity
+//!   rows. It keeps only a sorted id vector (no tuples: nothing
+//!   downstream reads them), tests candidates with the pre-resolved
+//!   [`Query::matcher`], and is the one operator with a **cost-based
+//!   rescan fallback**: when a batch touches more candidate rows than
+//!   the planner expects a fresh evaluation to cost (churn large
+//!   relative to view selectivity), the refresh runs the planner's
+//!   access path ([`crate::planner::plan`]) and diffs the result — same
+//!   changelog, better complexity. [`crate::world::World::retarget_view`]
+//!   rewrites the scan's `within` disk in the stored plan and
+//!   rescan-diffs the same way.
 //! * [`PlanNode::Join`] — binary, over two source chains. Equi-joins
 //!   ([`JoinOn::Eq`]) key both sides in the same coercion domain the
 //!   secondary indexes use ([`crate::index::IndexKey`]), so `Int 3`
@@ -49,14 +59,14 @@
 //! each ±row into its group's running state and diff the rebuilt group
 //! table. Membership itself is always re-evaluated against the
 //! *post-batch* world (never trusted from the log), so duplicate or
-//! stale deltas cannot corrupt a view — the same invariant the
-//! single-table views rely on.
+//! stale deltas cannot corrupt a view.
 //!
 //! ## Equivalence and determinism
 //!
 //! [`ViewPlan::evaluate`] builds the same state from a cold start — the
 //! forced-recompute oracle every operator is held equal to (unit tests
-//! here, `operator_views_track_scan_oracle_under_churn` in
+//! here, `views_track_scan_oracle_under_churn` and
+//! `operator_views_track_scan_oracle_under_churn` in
 //! `tests/prop_core.rs`, and the persist crash-point sweep). Outputs are
 //! deterministically ordered: row views by entity id, pair views by
 //! `(left, right)`, group views by group key. Incremental `sum`/`avg`
@@ -75,6 +85,7 @@ use crate::entity::EntityId;
 use crate::index::{IndexKey, OrdF64};
 use crate::intern::ComponentId;
 use crate::metrics::CoreMetrics;
+use crate::planner::{plan, Plan, TableStats};
 use crate::query::{AggFn, Pred, Query};
 use crate::view::{Changelog, FoldCtx, ViewStats};
 use crate::world::{CoreError, World};
@@ -167,7 +178,8 @@ impl ViewPlan {
         ViewPlan { root }
     }
 
-    /// Single-table plan equivalent to a standing [`Query`] view.
+    /// One-operator plan over a standing [`Query`] — what
+    /// [`crate::world::World::register_view`] registers.
     pub fn scan(query: Query) -> ViewPlan {
         ViewPlan::new(PlanNode::scan(query))
     }
@@ -486,7 +498,7 @@ fn compile(plan: &ViewPlan) -> Result<OpState, CoreError> {
         chain => {
             let src = compile_source(chain, &[], false)?;
             Ok(OpState::Rows(RowsState {
-                source: SourceState::new(src),
+                src,
                 out: Vec::new(),
                 log: Changelog::default(),
             }))
@@ -517,17 +529,77 @@ struct RowDelta {
     new: Option<Tuple>,
 }
 
-/// Per-batch fold result of one source.
-struct FoldOut {
-    /// Candidate rows inspected (the scan stage's input size).
-    cands: usize,
-    /// Candidates passing the fused membership test.
-    passed: usize,
-    /// Net row deltas, ascending by entity id.
-    deltas: Vec<RowDelta>,
+impl Source {
+    /// Interned ids of the components whose deltas can change this
+    /// source's membership *or* stored tuples (sorted, deduped).
+    fn tracked_ids(&self, world: &World) -> Vec<ComponentId> {
+        let mut ids: Vec<ComponentId> = self
+            .query
+            .predicates()
+            .iter()
+            .filter_map(|p| world.component_id(&p.component))
+            .collect();
+        ids.extend(self.schema.iter().filter_map(|c| world.component_id(c)));
+        if self.query.spatial().is_some() || self.needs_pos {
+            ids.push(crate::world::POS_ID);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// Rows whose membership or tuple one batch may have changed: the
+    /// structural deltas plus component deltas on tracked columns,
+    /// restricted to the pinned entity — ascending, duplicate-free.
+    fn candidates(&self, world: &World, ctx: &FoldCtx<'_>) -> Vec<EntityId> {
+        let tracked = self.tracked_ids(world);
+        let mut cands: Vec<EntityId> = ctx.structural.to_vec();
+        let mut i = 0;
+        while i < ctx.comp_deltas.len() {
+            let comp = ctx.comp_deltas[i].0;
+            let start = i;
+            while i < ctx.comp_deltas.len() && ctx.comp_deltas[i].0 == comp {
+                i += 1;
+            }
+            if tracked.binary_search(&comp).is_ok() {
+                cands.extend(ctx.comp_deltas[start..i].iter().map(|&(_, e)| e));
+            }
+        }
+        if let Some(o) = self.only {
+            cands.retain(|&c| c == o);
+        }
+        cands.sort_unstable();
+        cands.dedup();
+        cands
+    }
+
+    /// The stored tuple of one row: the schema columns, plus the
+    /// position when a spatial join reads it.
+    fn read_tuple(&self, world: &World, id: EntityId) -> Tuple {
+        Tuple {
+            cols: self.schema.iter().map(|c| world.get(id, c)).collect(),
+            pos: if self.needs_pos { world.pos(id) } else { None },
+        }
+    }
+
+    /// Cold-start membership through the planner ([`Query::run`]),
+    /// ascending by id.
+    fn run(&self, world: &World) -> Vec<EntityId> {
+        match self.only {
+            Some(o) => {
+                if self.query.matches(world, o) {
+                    vec![o]
+                } else {
+                    Vec::new()
+                }
+            }
+            None => self.query.run(world),
+        }
+    }
 }
 
-/// A fused source with its materialized row tuples.
+/// A fused source with its materialized row tuples (the input of a
+/// join or group-aggregate operator).
 #[derive(Debug, Clone)]
 struct SourceState {
     src: Source,
@@ -542,126 +614,44 @@ impl SourceState {
         }
     }
 
-    fn member(&self, world: &World, id: EntityId) -> bool {
-        (self.src.only.is_none() || self.src.only == Some(id))
-            && self.src.query.matches(world, id)
-    }
-
-    fn read_tuple(&self, world: &World, id: EntityId) -> Tuple {
-        Tuple {
-            cols: self.src.schema.iter().map(|c| world.get(id, c)).collect(),
-            pos: if self.src.needs_pos {
-                world.pos(id)
-            } else {
-                None
-            },
-        }
-    }
-
-    /// Interned ids of the components whose deltas can change this
-    /// source's membership *or* stored tuples (sorted, deduped).
-    fn tracked_ids(&self, world: &World) -> Vec<ComponentId> {
-        let mut ids: Vec<ComponentId> = self
-            .src
-            .query
-            .predicates()
-            .iter()
-            .filter_map(|p| world.component_id(&p.component))
-            .collect();
-        ids.extend(self.src.schema.iter().filter_map(|c| world.component_id(c)));
-        if self.src.query.spatial().is_some() || self.src.needs_pos {
-            ids.push(crate::world::POS_ID);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Fold one change-stream segment into the source: candidates are
-    /// the structural deltas plus component deltas on tracked columns;
-    /// each candidate's membership and tuple are re-read from the
-    /// post-batch world and diffed against the stored row.
-    fn fold(&mut self, world: &World, ctx: &FoldCtx<'_>) -> FoldOut {
-        let tracked = self.tracked_ids(world);
-        let mut cands: Vec<EntityId> = ctx.structural.to_vec();
-        let mut i = 0;
-        while i < ctx.comp_deltas.len() {
-            let comp = ctx.comp_deltas[i].0;
-            let start = i;
-            while i < ctx.comp_deltas.len() && ctx.comp_deltas[i].0 == comp {
-                i += 1;
-            }
-            if tracked.binary_search(&comp).is_ok() {
-                cands.extend(ctx.comp_deltas[start..i].iter().map(|&(_, e)| e));
-            }
-        }
-        if let Some(o) = self.src.only {
-            cands.retain(|&c| c == o);
-        }
-        cands.sort_unstable();
-        cands.dedup();
-
-        let mut passed = 0usize;
+    /// Fold one change-stream segment into the source: each candidate's
+    /// membership and tuple are re-read from the post-batch world and
+    /// diffed against the stored row. Returns the net row deltas,
+    /// ascending by entity id.
+    fn fold(&mut self, world: &World, ctx: &FoldCtx<'_>) -> Vec<RowDelta> {
+        use std::collections::hash_map::Entry;
+        let cands = self.src.candidates(world, ctx);
+        let matcher = self.src.query.matcher(world);
         let mut deltas = Vec::new();
         for &c in &cands {
-            let now = self.member(world, c);
-            if now {
-                passed += 1;
-            }
-            match (self.rows.get(&c).cloned(), now) {
-                (None, false) => {}
-                (None, true) => {
-                    let t = self.read_tuple(world, c);
-                    self.rows.insert(c, t.clone());
-                    deltas.push(RowDelta {
-                        id: c,
-                        old: None,
-                        new: Some(t),
-                    });
+            let delta = match (self.rows.entry(c), matcher(c)) {
+                (Entry::Vacant(_), false) => None,
+                (Entry::Vacant(slot), true) => {
+                    let t = slot.insert(self.src.read_tuple(world, c)).clone();
+                    Some((None, Some(t)))
                 }
-                (Some(old), false) => {
-                    self.rows.remove(&c);
-                    deltas.push(RowDelta {
-                        id: c,
-                        old: Some(old),
-                        new: None,
-                    });
+                (Entry::Occupied(slot), false) => Some((Some(slot.remove()), None)),
+                (Entry::Occupied(mut slot), true) => {
+                    let t = self.src.read_tuple(world, c);
+                    (*slot.get() != t).then(|| {
+                        let new = t.clone();
+                        (Some(std::mem::replace(slot.get_mut(), t)), Some(new))
+                    })
                 }
-                (Some(old), true) => {
-                    let t = self.read_tuple(world, c);
-                    if old != t {
-                        self.rows.insert(c, t.clone());
-                        deltas.push(RowDelta {
-                            id: c,
-                            old: Some(old),
-                            new: Some(t),
-                        });
-                    }
-                }
+            };
+            if let Some((old, new)) = delta {
+                deltas.push(RowDelta { id: c, old, new });
             }
         }
-        FoldOut {
-            cands: cands.len(),
-            passed,
-            deltas,
-        }
+        deltas
     }
 
     /// Seed the row set from the live world (registration / recovery) —
     /// initial rows are state, not events.
     fn init(&mut self, world: &World) {
-        if let Some(o) = self.src.only {
-            if self.member(world, o) {
-                let t = self.read_tuple(world, o);
-                self.rows.insert(o, t);
-            }
-            return;
-        }
-        for id in world.entities() {
-            if self.member(world, id) {
-                let t = self.read_tuple(world, id);
-                self.rows.insert(id, t);
-            }
+        for id in self.src.run(world) {
+            let t = self.src.read_tuple(world, id);
+            self.rows.insert(id, t);
         }
     }
 }
@@ -670,41 +660,176 @@ impl SourceState {
 // Rows operator (fused scan/filter/project chain at the root)
 // ---------------------------------------------------------------------
 
+/// Apply a sorted membership diff to a sorted row set: `entered` holds
+/// ids absent from `old`, `exited` ids present in it; all three inputs
+/// are ascending. O(|old| + |entered|).
+fn apply_diff(old: &[EntityId], entered: &[EntityId], exited: &[EntityId]) -> Vec<EntityId> {
+    let mut out = Vec::with_capacity(old.len() + entered.len() - exited.len());
+    let (mut e, mut x) = (0usize, 0usize);
+    for &id in old {
+        while e < entered.len() && entered[e] < id {
+            out.push(entered[e]);
+            e += 1;
+        }
+        if x < exited.len() && exited[x] == id {
+            x += 1;
+            continue;
+        }
+        out.push(id);
+    }
+    out.extend_from_slice(&entered[e..]);
+    out
+}
+
+/// Diff two sorted row sets into `(entered, exited)`.
+fn diff_sorted(old: &[EntityId], new: &[EntityId]) -> (Vec<EntityId>, Vec<EntityId>) {
+    let mut entered = Vec::new();
+    let mut exited = Vec::new();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < old.len() || j < new.len() {
+        match (old.get(i), new.get(j)) {
+            (Some(&o), Some(&n)) if o == n => {
+                i += 1;
+                j += 1;
+            }
+            (Some(&o), Some(&n)) if o < n => {
+                exited.push(o);
+                i += 1;
+            }
+            (Some(_), Some(&n)) => {
+                entered.push(n);
+                j += 1;
+            }
+            (Some(&o), None) => {
+                exited.push(o);
+                i += 1;
+            }
+            (None, Some(&n)) => {
+                entered.push(n);
+                j += 1;
+            }
+            (None, None) => unreachable!("loop condition"),
+        }
+    }
+    (entered, exited)
+}
+
+/// A row view's whole state: the fused source and its members as a
+/// sorted id vector — membership tests are binary searches, diffs are
+/// merges, and subscribers borrow the slice without allocating.
 #[derive(Debug, Clone)]
 struct RowsState {
-    source: SourceState,
+    src: Source,
     /// Materialized output, ascending by id.
     out: Vec<EntityId>,
     log: Changelog,
 }
 
+/// What one Rows refresh did, for the counters.
+struct RowsFold {
+    /// Candidate rows of the batch.
+    cands: usize,
+    /// Candidates passing the membership test (incremental batches).
+    passed: usize,
+    entered: usize,
+    exited: usize,
+    changed: usize,
+    rescanned: bool,
+}
+
 impl RowsState {
-    /// Returns `(rows_in, rows_out)` for the operator counters.
-    fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>) -> (usize, usize, usize, usize) {
-        let fold = self.source.fold(world, ctx);
-        let mut entered = Vec::new();
-        let mut exited = Vec::new();
-        for d in &fold.deltas {
-            match (&d.old, &d.new) {
-                (None, Some(_)) => entered.push(d.id),
-                (Some(_), None) => exited.push(d.id),
-                _ => {}
+    /// The planner's access path for a fresh evaluation of the view.
+    fn planned(&self, world: &World) -> Plan {
+        plan(&self.src.query, &TableStats::for_query(world, &self.src.query))
+    }
+
+    /// Replace the rows with a run of `chosen` and return the
+    /// `(entered, exited)` diff against the old rows.
+    fn rescan(
+        &mut self,
+        world: &World,
+        chosen: &Plan,
+        metrics: Option<&CoreMetrics>,
+    ) -> (Vec<EntityId>, Vec<EntityId>) {
+        if let Some(m) = metrics {
+            m.note_access(&chosen.access);
+        }
+        let mut new_rows = chosen.run(world);
+        if let Some(o) = self.src.only {
+            new_rows.retain(|&e| e == o);
+        }
+        let diff = diff_sorted(&self.out, &new_rows);
+        self.out = new_rows;
+        diff
+    }
+
+    fn refresh(
+        &mut self,
+        world: &World,
+        ctx: &FoldCtx<'_>,
+        metrics: Option<&CoreMetrics>,
+    ) -> RowsFold {
+        let cands = self.src.candidates(world, ctx);
+        let mut passed = 0usize;
+        let (entered, exited, rescanned) = if cands.is_empty() {
+            (Vec::new(), Vec::new(), false)
+        } else {
+            // Cost model, in the planner's row-visit units: incremental
+            // maintenance pays one membership evaluation per candidate;
+            // a rescan pays the planner's estimate for a fresh run plus
+            // the diff against the current rows. When churn is large
+            // relative to view selectivity the rescan wins (e.g. an
+            // indexed 0.1% view under a 90% write storm). A pinned
+            // source has at most one candidate and never rescans.
+            let q = &self.src.query;
+            let per_row =
+                1.0 + q.predicates().len() as f64 + if q.spatial().is_some() { 1.0 } else { 0.0 };
+            let chosen = self.planned(world);
+            let rescan = self.src.only.is_none()
+                && cands.len() as f64 * per_row > chosen.est_cost + self.out.len() as f64;
+            if rescan {
+                let (entered, exited) = self.rescan(world, &chosen, metrics);
+                (entered, exited, true)
+            } else {
+                let matcher = self.src.query.matcher(world);
+                let mut entered = Vec::new();
+                let mut exited = Vec::new();
+                // candidates are sorted, so entered/exited come out
+                // sorted; `out` stays untouched until the diff applies.
+                for &c in &cands {
+                    let was = self.out.binary_search(&c).is_ok();
+                    let now = matcher(c);
+                    passed += now as usize;
+                    if now && !was {
+                        entered.push(c);
+                    } else if !now && was {
+                        exited.push(c);
+                    }
+                }
+                if !entered.is_empty() || !exited.is_empty() {
+                    self.out = apply_diff(&self.out, &entered, &exited);
+                }
+                (entered, exited, false)
             }
-        }
-        if !entered.is_empty() || !exited.is_empty() {
-            self.out = crate::view::apply_diff(&self.out, &entered, &exited);
-        }
-        // `changed` matches the single-table view contract: touched rows
-        // that are (still) members and did not just enter.
+        };
+        // `changed`: touched rows that are (still) members and did not
+        // just enter — `touched` is sorted, so the output is too.
         let changed: Vec<EntityId> = ctx
             .touched
             .iter()
             .copied()
             .filter(|t| self.out.binary_search(t).is_ok() && entered.binary_search(t).is_err())
             .collect();
-        let emitted = fold.deltas.len();
-        self.log.absorb_batch(entered, exited, changed, false);
-        (fold.cands, fold.passed, emitted, emitted)
+        let fold = RowsFold {
+            cands: cands.len(),
+            passed,
+            entered: entered.len(),
+            exited: exited.len(),
+            changed: changed.len(),
+            rescanned,
+        };
+        self.log.absorb_batch(entered, exited, changed, rescanned);
+        fold
     }
 }
 
@@ -905,7 +1030,7 @@ impl JoinState {
 
         // ΔL ⋈ R_old — the right source has not folded yet.
         let l_fold = self.left.fold(world, ctx);
-        for d in &l_fold.deltas {
+        for d in &l_fold {
             if let Some(o) = &d.old {
                 for r in Self::probe(self.on, true, &self.r_idx, &self.right.rows, o) {
                     *weights.entry((d.id, r)).or_default() -= 1;
@@ -921,7 +1046,7 @@ impl JoinState {
 
         // L_new ⋈ ΔR — the left side now reflects this batch.
         let r_fold = self.right.fold(world, ctx);
-        for d in &r_fold.deltas {
+        for d in &r_fold {
             if let Some(o) = &d.old {
                 for l in Self::probe(self.on, false, &self.l_idx, &self.left.rows, o) {
                     *weights.entry((l, d.id)).or_default() -= 1;
@@ -960,7 +1085,7 @@ impl JoinState {
         let rows_out = entered.len() + exited.len();
         self.log.entered.extend(entered);
         self.log.exited.extend(exited);
-        (l_fold.deltas.len() + r_fold.deltas.len(), rows_out)
+        (l_fold.len() + r_fold.len(), rows_out)
     }
 
     /// Cold-start materialization (registration / recovery).
@@ -1188,10 +1313,10 @@ impl GroupState {
     /// Returns `(rows_in, rows_out)`.
     fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>) -> (usize, usize) {
         let fold = self.source.fold(world, ctx);
-        if fold.deltas.is_empty() {
+        if fold.is_empty() {
             return (0, 0);
         }
-        for d in &fold.deltas {
+        for d in &fold {
             if let Some(o) = &d.old {
                 self.retract(d.id, o);
             }
@@ -1200,7 +1325,7 @@ impl GroupState {
             }
         }
         let changes = self.rebuild(true);
-        (fold.deltas.len(), changes)
+        (fold.len(), changes)
     }
 
     fn init(&mut self, world: &World) {
@@ -1245,12 +1370,7 @@ impl PlanView {
     pub(crate) fn new(plan: ViewPlan, world: &World) -> Result<PlanView, CoreError> {
         let mut state = compile(&plan)?;
         match &mut state {
-            OpState::Rows(s) => {
-                s.source.init(world);
-                let mut out: Vec<EntityId> = s.source.rows.keys().copied().collect();
-                out.sort_unstable();
-                s.out = out;
-            }
+            OpState::Rows(s) => s.out = s.src.run(world),
             OpState::Join(s) => s.init(world),
             OpState::Group(s) => s.init(world),
         }
@@ -1279,45 +1399,108 @@ impl PlanView {
     ) {
         self.stats.refreshes += 1;
         self.stats.deltas_seen += ctx.batch_len as u64;
-        let rows_out;
-        match &mut self.state {
+        // (output delta rows, rescanned, candidates)
+        let (rows_out, rescanned, cands) = match &mut self.state {
             OpState::Rows(s) => {
-                let (cands, passed, emitted, out) = s.refresh(world, ctx);
-                rows_out = out;
+                let f = s.refresh(world, ctx, metrics);
                 if let Some(m) = metrics {
-                    m.op_scan.note(cands, emitted);
-                    if !s.source.src.query.predicates().is_empty() {
-                        m.op_filter.note(cands, passed);
+                    // a rescan ran the planner's access path, not the
+                    // operator pipeline: `view.rescans` counts it
+                    if !f.rescanned {
+                        m.op_scan.note(f.cands, f.entered + f.exited);
+                        if !s.src.query.predicates().is_empty() {
+                            m.op_filter.note(f.cands, f.passed);
+                        }
                     }
+                    m.view_candidates.observe(f.cands as u64);
+                    m.view_entered.add(f.entered as u64);
+                    m.view_exited.add(f.exited as u64);
+                    m.view_changed.add(f.changed as u64);
                 }
+                (f.entered + f.exited + f.changed, f.rescanned, f.cands)
             }
             OpState::Join(s) => {
                 let (rows_in, out) = s.refresh(world, ctx);
-                rows_out = out;
                 if let Some(m) = metrics {
                     m.op_scan.note(rows_in, rows_in);
                     m.op_join.note(rows_in, out);
                 }
+                (out, false, 0)
             }
             OpState::Group(s) => {
                 let retracts_before = s.retracts;
                 let (rows_in, out) = s.refresh(world, ctx);
-                rows_out = out;
                 if let Some(m) = metrics {
                     m.op_scan.note(rows_in, rows_in);
                     m.op_group.note(rows_in, out);
                     m.op_group_retracts.add(s.retracts - retracts_before);
                 }
+                (out, false, 0)
             }
-        }
+        };
         self.stats.delta_rows += rows_out as u64;
+        self.stats.rescans += rescanned as u64;
         if let Some(m) = metrics {
             m.view_refreshes.inc();
-            m.view_incremental.inc();
             m.view_deltas.add(ctx.batch_len as u64);
             let per_slot = m.view_slot(slot);
             per_slot.refreshes.inc();
+            per_slot.candidates.add(cands as u64);
             per_slot.delta_rows.add(rows_out as u64);
+            if rescanned {
+                m.view_rescans.inc();
+                per_slot.rescans.inc();
+            } else {
+                m.view_incremental.inc();
+            }
+        }
+    }
+
+    /// Move the `within` disk of a row view's scan — in the stored plan
+    /// (what the catalog persists) and in the fused source — then
+    /// rescan-diff; the membership diff lands in the changelog as
+    /// `entered` / `exited`. Returns `false`, changing nothing, for join
+    /// and group views (spatial joins follow their anchor's position
+    /// deltas instead).
+    pub(crate) fn retarget(
+        &mut self,
+        world: &World,
+        center: Vec2,
+        radius: f32,
+        metrics: Option<&CoreMetrics>,
+    ) -> bool {
+        let OpState::Rows(s) = &mut self.state else {
+            return false;
+        };
+        fn scan_query(node: &mut PlanNode) -> &mut Query {
+            match node {
+                PlanNode::Scan { query, .. } => query,
+                PlanNode::Filter { input, .. } | PlanNode::Project { input, .. } => {
+                    scan_query(input)
+                }
+                _ => unreachable!("a rows plan is a scan chain"),
+            }
+        }
+        scan_query(&mut self.plan.root).retarget_within(center, radius);
+        s.src.query.retarget_within(center, radius);
+        let chosen = s.planned(world);
+        let (entered, exited) = s.rescan(world, &chosen, metrics);
+        s.log.absorb_batch(entered, exited, Vec::new(), true);
+        self.stats.refreshes += 1;
+        self.stats.rescans += 1;
+        if let Some(m) = metrics {
+            m.view_refreshes.inc();
+            m.view_rescans.inc();
+        }
+        true
+    }
+
+    /// The fused standing query of a row view (its scan's query with
+    /// every filter of the chain conjoined).
+    pub(crate) fn query(&self) -> Option<&Query> {
+        match &self.state {
+            OpState::Rows(s) => Some(&s.src.query),
+            _ => None,
         }
     }
 

@@ -60,7 +60,9 @@ pub(crate) struct CoreMetrics {
     pub view_changed: Counter,
     // -- operator-tree views (differential view maintenance) --
     /// `view.op_scan.rows_in/rows_out`: candidate rows inspected by
-    /// fused scan chains / source delta rows emitted.
+    /// fused scan chains / source delta rows emitted (incremental
+    /// batches only — a row view's rescan fallback counts in
+    /// `view.rescans`).
     pub op_scan: OpMetrics,
     /// `view.op_filter.rows_in/rows_out`: candidates evaluated against
     /// fused filter predicates / candidates passing them.

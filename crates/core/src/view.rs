@@ -1,5 +1,5 @@
-//! Continuous queries: standing views maintained incrementally from the
-//! world's change stream.
+//! Standing views: the registry that maintains a world's materialized
+//! views from its change stream.
 //!
 //! The paper's central pitch is that game computation is *declarative
 //! set-at-a-time processing over a database* — yet every recurring
@@ -7,15 +7,18 @@
 //! trigger thresholds, replication interest) is classically answered by
 //! re-running a full query each tick. This module gives those questions
 //! the database answer: a **materialized view**. Callers register a
-//! standing [`Query`] with [`crate::world::World::register_view`]; every
-//! write path then commits a typed [`crate::change::Change`] record
-//! (`entity, component, old → new`) to the world's change stream, and
+//! standing [`Query`](crate::query::Query) with
+//! [`crate::world::World::register_view`] (or any operator tree with
+//! [`crate::world::World::register_view_plan`]); every write path then
+//! commits a typed [`crate::change::Change`] record (`entity, component,
+//! old → new`) to the world's change stream, and
 //! [`crate::world::World::refresh_views`] (called automatically at tick
-//! end) folds the pending segment into each view's materialized result
-//! set, producing a per-tick [`Changelog`] of `entered` / `exited` /
-//! `changed` rows. Views are one consumer of that stream among several —
-//! durability and replication tap the very same records (see
-//! [`crate::change`]).
+//! end) folds the pending segment into each view, producing a per-tick
+//! [`Changelog`] of `entered` / `exited` / `changed` rows. Every view is
+//! an operator tree maintained by [`crate::dvm`]; a query view is the
+//! one-operator plan `ViewPlan::scan(query)`. Views are one consumer of
+//! the change stream among several — durability and replication tap the
+//! very same records (see [`crate::change`]).
 //!
 //! ## Maintenance invariants
 //!
@@ -26,8 +29,8 @@
 //!   while any view is registered. Effect application at tick end and
 //!   snapshot/WAL recovery mutate the world through those same
 //!   primitives, so they need no extra hooks.
-//! * **Membership from current state** — a refresh re-evaluates the
-//!   standing query against the *post-batch* world for every candidate
+//! * **Membership from current state** — a refresh re-evaluates
+//!   membership against the *post-batch* world for every candidate
 //!   entity, so stale or duplicate deltas can never corrupt a view; the
 //!   log's old values exist for relevance filtering and observability,
 //!   not as the source of truth.
@@ -35,11 +38,9 @@
 //!   `entered`, `exited`, and `changed` are each sorted by entity id and
 //!   duplicate-free; successive batches append in refresh order. Two
 //!   worlds with identical write histories produce identical changelogs.
-//! * **Cost-based fallback** — when a delta batch touches more rows than
-//!   the planner expects a fresh evaluation to cost (churn large relative
-//!   to view selectivity), the refresh falls back to a planner-driven
-//!   rescan ([`crate::planner::plan`]) and diffs the result — same
-//!   changelog semantics, better complexity.
+//! * **Cost-based fallback** — a row view whose batch touches more rows
+//!   than the planner expects a fresh evaluation to cost falls back to a
+//!   planner-driven rescan and diffs the result (see [`crate::dvm`]).
 //!
 //! The equivalence contract — materialized rows ≡ `Query::run_scan` after
 //! every refresh, under arbitrary interleavings of writes, removals,
@@ -47,11 +48,9 @@
 //! tests in `tests/prop_core.rs`.
 
 use crate::change::{Change, ChangeOp};
-use crate::dvm::{GroupChangelog, GroupRow, PairChangelog, PlanView, ViewPlan};
+use crate::dvm::{PlanView, ViewPlan};
 use crate::entity::EntityId;
 use crate::metrics::CoreMetrics;
-use crate::planner::{plan, TableStats};
-use crate::query::Query;
 use crate::world::World;
 
 /// Handle to a registered standing view. Ids are scoped to the world
@@ -75,8 +74,8 @@ impl ViewId {
     }
 }
 
-/// Membership changes a view accumulated since its changelog was last
-/// taken — the per-tick changelog when consumed once per tick.
+/// Membership changes a row view accumulated since its changelog was
+/// last taken — the per-tick changelog when consumed once per tick.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Changelog {
     /// Rows that joined the view (predicate became true / entity spawned
@@ -119,23 +118,21 @@ impl Changelog {
 /// Maintenance counters for one view.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ViewStats {
-    /// Refresh batches folded into this view.
+    /// Refresh batches folded into this view (retargets included).
     pub refreshes: u64,
-    /// Batches that fell back to a planner-driven rescan (always 0 for
-    /// operator-tree views — they have no rescan path).
+    /// Batches that fell back to a planner-driven rescan, plus retargets
+    /// (which always rescan). Only row views have a rescan path; join
+    /// and group-aggregate views stay at 0.
     pub rescans: u64,
     /// Deltas inspected across all batches (relevant or not).
     pub deltas_seen: u64,
-    /// Output delta rows this view emitted across all batches (row
-    /// membership events; pair or group changes for operator views) —
-    /// the per-view delta-batch size the metrics catalog surfaces as
-    /// `view.s{slot}.delta_rows`.
+    /// Output delta rows this view emitted across all batches (entered,
+    /// exited and changed rows; pair or group changes for join and
+    /// group views) — the per-view delta-batch size the metrics catalog
+    /// surfaces as `view.s{slot}.delta_rows`.
     pub delta_rows: u64,
 }
 
-/// Apply a sorted membership diff to a sorted row set: `entered` holds
-/// ids absent from `old`, `exited` ids present in it; all three inputs
-/// are ascending. O(|old| + |entered|).
 /// Per-batch fold context shared by every view refresh: the entities a
 /// change-stream segment touched, its structural (spawn/despawn) subset,
 /// its per-component deltas (sorted by component then id, deduped), and
@@ -148,241 +145,6 @@ pub(crate) struct FoldCtx<'a> {
     pub(crate) batch_len: usize,
 }
 
-pub(crate) fn apply_diff(
-    old: &[EntityId],
-    entered: &[EntityId],
-    exited: &[EntityId],
-) -> Vec<EntityId> {
-    let mut out = Vec::with_capacity(old.len() + entered.len() - exited.len());
-    let (mut e, mut x) = (0usize, 0usize);
-    for &id in old {
-        while e < entered.len() && entered[e] < id {
-            out.push(entered[e]);
-            e += 1;
-        }
-        if x < exited.len() && exited[x] == id {
-            x += 1;
-            continue;
-        }
-        out.push(id);
-    }
-    out.extend_from_slice(&entered[e..]);
-    out
-}
-
-/// Diff two sorted row sets into `(entered, exited)`.
-fn diff_sorted(old: &[EntityId], new: &[EntityId]) -> (Vec<EntityId>, Vec<EntityId>) {
-    let mut entered = Vec::new();
-    let mut exited = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() || j < new.len() {
-        match (old.get(i), new.get(j)) {
-            (Some(&o), Some(&n)) if o == n => {
-                i += 1;
-                j += 1;
-            }
-            (Some(&o), Some(&n)) if o < n => {
-                exited.push(o);
-                i += 1;
-            }
-            (Some(_), Some(&n)) => {
-                entered.push(n);
-                j += 1;
-            }
-            (Some(&o), None) => {
-                exited.push(o);
-                i += 1;
-            }
-            (None, Some(&n)) => {
-                entered.push(n);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    (entered, exited)
-}
-
-/// One registered standing query with its materialized rows, stored as a
-/// sorted vector: membership tests are binary searches, diffs are merges,
-/// and subscribers borrow the slice without allocating.
-#[derive(Debug, Clone)]
-struct StandingView {
-    query: Query,
-    rows: Vec<EntityId>,
-    log: Changelog,
-    stats: ViewStats,
-}
-
-impl StandingView {
-    fn new(query: Query, initial: Vec<EntityId>) -> Self {
-        StandingView {
-            query,
-            rows: initial,
-            log: Changelog::default(),
-            stats: ViewStats::default(),
-        }
-    }
-
-    /// Interned ids of the components whose deltas can change
-    /// membership of this view, resolved against `world` (unknown
-    /// predicate components resolve to nothing — they can never match).
-    fn tracked_ids(&self, world: &World) -> Vec<crate::intern::ComponentId> {
-        let mut ids: Vec<crate::intern::ComponentId> = self
-            .query
-            .predicates()
-            .iter()
-            .filter_map(|p| world.component_id(&p.component))
-            .collect();
-        if self.query.spatial().is_some() {
-            ids.push(crate::world::POS_ID);
-        }
-        ids
-    }
-
-    /// Planner-driven re-evaluation, diffed against the current rows.
-    fn rescan_diff(&mut self, world: &World) -> (Vec<EntityId>, Vec<EntityId>) {
-        let chosen = plan(&self.query, &TableStats::for_query(world, &self.query));
-        if let Some(m) = world.core_metrics() {
-            m.note_access(&chosen.access);
-            m.view_rescans.inc();
-        }
-        let new_rows = chosen.run(world);
-        let (entered, exited) = diff_sorted(&self.rows, &new_rows);
-        self.rows = new_rows;
-        self.stats.rescans += 1;
-        (entered, exited)
-    }
-
-    /// Fold one delta batch into the view. The [`FoldCtx`] (sorted,
-    /// deduped) is computed once per batch and shared across all views.
-    fn refresh(&mut self, world: &World, ctx: &FoldCtx<'_>, slot: usize, metrics: Option<&CoreMetrics>) {
-        let FoldCtx { touched, structural, comp_deltas, batch_len } = *ctx;
-        self.stats.refreshes += 1;
-        self.stats.deltas_seen += batch_len as u64;
-
-        // Candidate rows whose membership could have flipped: structural
-        // deltas affect every view; component deltas only views tracking
-        // that component. Predicate names resolve to interned ids once
-        // per batch, so the per-delta test is an integer compare.
-        let tracked = self.tracked_ids(world);
-        let mut candidates: Vec<EntityId> = structural.to_vec();
-        let mut i = 0;
-        while i < comp_deltas.len() {
-            let comp = comp_deltas[i].0;
-            let start = i;
-            while i < comp_deltas.len() && comp_deltas[i].0 == comp {
-                i += 1;
-            }
-            if tracked.contains(&comp) {
-                candidates.extend(comp_deltas[start..i].iter().map(|&(_, e)| e));
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let (entered, exited, rescanned) = if candidates.is_empty() {
-            (Vec::new(), Vec::new(), false)
-        } else {
-            // Cost model, in the planner's row-visit units: incremental
-            // maintenance pays one membership evaluation per candidate;
-            // a rescan pays the planner's estimate for a fresh run plus
-            // the diff against the current rows. When churn is large
-            // relative to view selectivity the rescan wins (e.g. an
-            // indexed 0.1% view under a 90% write storm).
-            let per_row =
-                1.0 + self.query.predicates().len() as f64
-                    + if self.query.spatial().is_some() { 1.0 } else { 0.0 };
-            let incremental_cost = candidates.len() as f64 * per_row;
-            let chosen = plan(&self.query, &TableStats::for_query(world, &self.query));
-            let rescan_cost = chosen.est_cost + self.rows.len() as f64;
-            if incremental_cost > rescan_cost {
-                if let Some(m) = metrics {
-                    m.note_access(&chosen.access);
-                }
-                let new_rows = chosen.run(world);
-                let (entered, exited) = diff_sorted(&self.rows, &new_rows);
-                self.rows = new_rows;
-                self.stats.rescans += 1;
-                (entered, exited, true)
-            } else {
-                let matcher = self.query.matcher(world);
-                let mut entered = Vec::new();
-                let mut exited = Vec::new();
-                // candidates are sorted, so entered/exited come out
-                // sorted; `rows` stays untouched until the diff applies.
-                for &c in &candidates {
-                    let was = self.rows.binary_search(&c).is_ok();
-                    let now = matcher(c);
-                    if now && !was {
-                        entered.push(c);
-                    } else if !now && was {
-                        exited.push(c);
-                    }
-                }
-                if !entered.is_empty() || !exited.is_empty() {
-                    self.rows = apply_diff(&self.rows, &entered, &exited);
-                }
-                (entered, exited, false)
-            }
-        };
-
-        // `changed`: touched rows that are (still) members and did not
-        // just enter — `touched` is sorted, so the output is too.
-        let changed: Vec<EntityId> = touched
-            .iter()
-            .copied()
-            .filter(|t| self.rows.binary_search(t).is_ok() && entered.binary_search(t).is_err())
-            .collect();
-
-        let delta_rows = (entered.len() + exited.len() + changed.len()) as u64;
-        self.stats.delta_rows += delta_rows;
-        if let Some(m) = metrics {
-            m.view_refreshes.inc();
-            m.view_deltas.add(batch_len as u64);
-            m.view_candidates.observe(candidates.len() as u64);
-            if rescanned {
-                m.view_rescans.inc();
-            } else {
-                m.view_incremental.inc();
-            }
-            m.view_entered.add(entered.len() as u64);
-            m.view_exited.add(exited.len() as u64);
-            m.view_changed.add(changed.len() as u64);
-            let per_slot = m.view_slot(slot);
-            per_slot.refreshes.inc();
-            per_slot.candidates.add(candidates.len() as u64);
-            per_slot.delta_rows.add(delta_rows);
-            if rescanned {
-                per_slot.rescans.inc();
-            }
-        }
-
-        self.log.absorb_batch(entered, exited, changed, rescanned);
-    }
-
-    /// Replace the spatial restriction and rescan-diff the view.
-    fn retarget(&mut self, world: &World, center: gamedb_spatial::Vec2, radius: f32) {
-        self.query.retarget_within(center, radius);
-        let (entered, exited) = self.rescan_diff(world);
-        self.stats.refreshes += 1;
-        if let Some(m) = world.core_metrics() {
-            m.view_refreshes.inc();
-        }
-        self.log.absorb_batch(entered, exited, Vec::new(), true);
-    }
-}
-
-/// One occupied registry slot: a legacy single-table standing view or
-/// an operator-tree view ([`crate::dvm`]). Both kinds share the slot
-/// space, the catalog's slot-stability contract, and the change-stream
-/// fold; they differ in what they materialize.
-#[derive(Debug, Clone)]
-enum Slot {
-    Table(StandingView),
-    Plan(Box<PlanView>),
-}
-
 /// The set of standing views a world maintains. Owned by
 /// [`crate::world::World`]; callers go through the world's `*_view`
 /// methods, which keep delta recording and consumption in lockstep.
@@ -390,7 +152,7 @@ enum Slot {
 pub struct ViewRegistry {
     /// Slot per ever-registered view; dropped views leave `None` so ids
     /// stay stable.
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<PlanView>>,
     active: usize,
 }
 
@@ -412,22 +174,12 @@ impl ViewRegistry {
         self.active == 0
     }
 
-    pub(crate) fn register(&mut self, world_id: u64, query: Query, initial: Vec<EntityId>) -> ViewId {
+    pub(crate) fn register(&mut self, world_id: u64, view: PlanView) -> ViewId {
         let id = ViewId {
             world: world_id,
             slot: self.slots.len() as u32,
         };
-        self.slots.push(Some(Slot::Table(StandingView::new(query, initial))));
-        self.active += 1;
-        id
-    }
-
-    pub(crate) fn register_plan(&mut self, world_id: u64, view: PlanView) -> ViewId {
-        let id = ViewId {
-            world: world_id,
-            slot: self.slots.len() as u32,
-        };
-        self.slots.push(Some(Slot::Plan(Box::new(view))));
+        self.slots.push(Some(view));
         self.active += 1;
         id
     }
@@ -439,22 +191,13 @@ impl ViewRegistry {
         self.slots.len() as u32
     }
 
-    /// Iterate `(slot, query)` over live single-table views in slot
-    /// order (the catalog's `views` section).
-    pub(crate) fn live_slots(&self) -> impl Iterator<Item = (u32, &Query)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Some(Slot::Table(v)) => Some((i as u32, &v.query)),
-            _ => None,
-        })
-    }
-
-    /// Iterate `(slot, plan)` over live operator-tree views in slot
-    /// order (the catalog's `plan_views` section).
-    pub(crate) fn live_plan_slots(&self) -> impl Iterator<Item = (u32, &ViewPlan)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Some(Slot::Plan(v)) => Some((i as u32, v.plan())),
-            _ => None,
-        })
+    /// Iterate `(slot, plan)` over live views in slot order (the
+    /// catalog's view section).
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = (u32, &ViewPlan)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|v| (i as u32, v.plan())))
     }
 
     /// Pad the slot table with dead slots up to `slots` total — recovery
@@ -466,58 +209,30 @@ impl ViewRegistry {
         }
     }
 
-    /// Install a single-table view at an exact slot (recovery). The slot
-    /// must be dead and within the reserved table; returns `false` when
-    /// it is live.
-    pub(crate) fn install_at_slot(&mut self, slot: u32, query: Query, initial: Vec<EntityId>) -> bool {
+    /// Install a view at an exact slot (recovery). The slot must be dead
+    /// and within the reserved table; returns `false` when it is live.
+    pub(crate) fn install_at_slot(&mut self, slot: u32, view: PlanView) -> bool {
         self.reserve_slots(slot + 1);
         let entry = &mut self.slots[slot as usize];
         if entry.is_some() {
             return false;
         }
-        *entry = Some(Slot::Table(StandingView::new(query, initial)));
+        *entry = Some(view);
         self.active += 1;
         true
     }
 
-    /// Install an operator-tree view at an exact slot (recovery).
-    pub(crate) fn install_plan_at_slot(&mut self, slot: u32, view: PlanView) -> bool {
-        self.reserve_slots(slot + 1);
-        let entry = &mut self.slots[slot as usize];
-        if entry.is_some() {
-            return false;
-        }
-        *entry = Some(Slot::Plan(Box::new(view)));
-        self.active += 1;
-        true
-    }
-
-    /// The standing query at a slot, if the slot holds a live
-    /// single-table view.
-    pub(crate) fn query_at_slot(&self, slot: u32) -> Option<&Query> {
-        match self.slots.get(slot as usize).and_then(|s| s.as_ref()) {
-            Some(Slot::Table(v)) => Some(&v.query),
-            _ => None,
-        }
-    }
-
-    /// The operator tree at a slot, if the slot holds a live plan view.
+    /// The operator tree at a slot, if the slot holds a live view.
     pub(crate) fn plan_at_slot(&self, slot: u32) -> Option<&ViewPlan> {
-        match self.slots.get(slot as usize).and_then(|s| s.as_ref()) {
-            Some(Slot::Plan(v)) => Some(v.plan()),
-            _ => None,
-        }
+        self.slots.get(slot as usize)?.as_ref().map(PlanView::plan)
     }
 
     /// Drop every accumulated changelog — recovery re-anchors subscribers
     /// to the recovered materialization instead of replaying pre-crash
     /// history at them.
     pub(crate) fn clear_changelogs(&mut self) {
-        for slot in self.slots.iter_mut().flatten() {
-            match slot {
-                Slot::Table(v) => v.log = Changelog::default(),
-                Slot::Plan(v) => v.clear_logs(),
-            }
+        for view in self.slots.iter_mut().flatten() {
+            view.clear_logs();
         }
     }
 
@@ -532,148 +247,29 @@ impl ViewRegistry {
         }
     }
 
-    fn get(&self, id: ViewId) -> &Slot {
+    /// The live view behind `id`.
+    ///
+    /// # Panics
+    /// On unknown or dropped ids (programmer error).
+    pub(crate) fn get(&self, id: ViewId) -> &PlanView {
         self.slots
             .get(id.slot as usize)
             .and_then(|s| s.as_ref())
             .unwrap_or_else(|| panic!("view {id:?} is not registered"))
     }
 
-    fn get_mut(&mut self, id: ViewId) -> &mut Slot {
+    /// Mutable [`ViewRegistry::get`].
+    pub(crate) fn get_mut(&mut self, id: ViewId) -> &mut PlanView {
         self.slots
             .get_mut(id.slot as usize)
             .and_then(|s| s.as_mut())
             .unwrap_or_else(|| panic!("view {id:?} is not registered"))
     }
 
-    fn table(&self, id: ViewId) -> &StandingView {
-        match self.get(id) {
-            Slot::Table(v) => v,
-            Slot::Plan(_) => {
-                panic!("view {id:?} is an operator-tree view; use the plan-view accessors")
-            }
-        }
-    }
-
-    fn plan_view(&self, id: ViewId) -> &PlanView {
-        match self.get(id) {
-            Slot::Plan(v) => v,
-            Slot::Table(_) => {
-                panic!("view {id:?} is a single-table view; use the query-view accessors")
-            }
-        }
-    }
-
-    fn plan_view_mut(&mut self, id: ViewId) -> &mut PlanView {
-        match self.get_mut(id) {
-            Slot::Plan(v) => v,
-            Slot::Table(_) => {
-                panic!("view {id:?} is a single-table view; use the query-view accessors")
-            }
-        }
-    }
-
     pub(crate) fn contains_view(&self, id: ViewId) -> bool {
         self.slots
             .get(id.slot as usize)
             .is_some_and(|s| s.is_some())
-    }
-
-    pub(crate) fn rows(&self, id: ViewId) -> &[EntityId] {
-        match self.get(id) {
-            Slot::Table(v) => &v.rows,
-            Slot::Plan(v) => v
-                .rows()
-                .unwrap_or_else(|| panic!("view {id:?} does not materialize entity rows")),
-        }
-    }
-
-    pub(crate) fn contains_row(&self, id: ViewId, e: EntityId) -> bool {
-        match self.get(id) {
-            Slot::Table(v) => v.rows.binary_search(&e).is_ok(),
-            Slot::Plan(v) => v.contains_row(e),
-        }
-    }
-
-    pub(crate) fn query(&self, id: ViewId) -> &Query {
-        &self.table(id).query
-    }
-
-    /// The operator tree behind `id`, when it is a plan view.
-    pub(crate) fn plan(&self, id: ViewId) -> Option<&ViewPlan> {
-        match self.get(id) {
-            Slot::Plan(v) => Some(v.plan()),
-            Slot::Table(_) => None,
-        }
-    }
-
-    pub(crate) fn pairs(&self, id: ViewId) -> &[(EntityId, EntityId)] {
-        self.plan_view(id)
-            .pairs()
-            .unwrap_or_else(|| panic!("view {id:?} does not materialize join pairs"))
-    }
-
-    pub(crate) fn groups(&self, id: ViewId) -> &[GroupRow] {
-        self.plan_view(id)
-            .groups()
-            .unwrap_or_else(|| panic!("view {id:?} does not materialize group rows"))
-    }
-
-    pub(crate) fn retract_recomputes(&self, id: ViewId) -> u64 {
-        self.plan_view(id).retract_recomputes()
-    }
-
-    pub(crate) fn plan_output(&self, id: ViewId) -> crate::dvm::PlanOutput {
-        self.plan_view(id).output()
-    }
-
-    pub(crate) fn changelog(&self, id: ViewId) -> &Changelog {
-        match self.get(id) {
-            Slot::Table(v) => &v.log,
-            Slot::Plan(v) => v
-                .rows_log()
-                .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog")),
-        }
-    }
-
-    pub(crate) fn take_changelog(&mut self, id: ViewId) -> Changelog {
-        match self.get_mut(id) {
-            Slot::Table(v) => std::mem::take(&mut v.log),
-            Slot::Plan(v) => v
-                .take_rows_log()
-                .unwrap_or_else(|| panic!("view {id:?} does not produce a row changelog")),
-        }
-    }
-
-    pub(crate) fn pair_changelog(&self, id: ViewId) -> &PairChangelog {
-        self.plan_view(id)
-            .pair_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a pair changelog"))
-    }
-
-    pub(crate) fn take_pair_changelog(&mut self, id: ViewId) -> PairChangelog {
-        self.plan_view_mut(id)
-            .take_pair_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a pair changelog"))
-    }
-
-    pub(crate) fn group_changelog(&self, id: ViewId) -> &GroupChangelog {
-        self.plan_view(id)
-            .group_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a group changelog"))
-    }
-
-    pub(crate) fn take_group_changelog(&mut self, id: ViewId) -> GroupChangelog {
-        self.plan_view_mut(id)
-            .take_group_log()
-            .unwrap_or_else(|| panic!("view {id:?} does not produce a group changelog"))
-    }
-
-    pub(crate) fn stats(&self, id: ViewId) -> ViewStats {
-        match self.get(id) {
-            Slot::Table(v) => v.stats,
-            Slot::Plan(v) => v.stats(),
-        }
     }
 
     /// Fold one pending change-stream segment into every view. Only row
@@ -731,41 +327,17 @@ impl ViewRegistry {
             batch_len: row_ops,
         };
         for (slot, entry) in self.slots.iter_mut().enumerate() {
-            match entry {
-                Some(Slot::Table(view)) => view.refresh(world, &ctx, slot, metrics),
-                Some(Slot::Plan(view)) => view.refresh(world, &ctx, slot, metrics),
-                None => {}
+            if let Some(view) = entry {
+                view.refresh(world, &ctx, slot, metrics);
             }
         }
-    }
-
-    pub(crate) fn retarget(
-        &mut self,
-        world: &World,
-        id: ViewId,
-        center: gamedb_spatial::Vec2,
-        radius: f32,
-    ) {
-        // Move the view out of the slot so the rescan can read a
-        // registry-free world without aliasing it.
-        let slot = self.slots[id.slot as usize]
-            .take()
-            .unwrap_or_else(|| panic!("view {id:?} is not registered"));
-        let mut view = match slot {
-            Slot::Table(v) => v,
-            Slot::Plan(_) => panic!(
-                "view {id:?} is an operator-tree view; spatial joins follow their \
-                 anchor's position deltas instead of retargeting"
-            ),
-        };
-        view.retarget(world, center, radius);
-        self.slots[id.slot as usize] = Some(Slot::Table(view));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Query;
     use crate::effect::{Effect, EffectBuffer, SpawnRequest};
     use crate::exec::TickExecutor;
     use crate::index::IndexKind;
@@ -910,6 +482,54 @@ mod tests {
         assert_eq!(log.exited, vec![a]);
         assert_eq!(log.rescans, 1);
         assert_eq!(w.view_rows(v), &[b]);
+        // the disk is rewritten in the stored plan (what the catalog
+        // persists), not only in the materialization
+        let moved = Query::select().within(Vec2::new(100.0, 0.0), 10.0);
+        assert_eq!(w.view_plan(v), Some(&crate::dvm::ViewPlan::scan(moved)));
+    }
+
+    #[test]
+    fn retarget_rewrites_the_scan_below_a_filter_chain() {
+        use crate::dvm::{PlanNode, ViewPlan};
+        use crate::query::Pred;
+        let mut w = world_with(&[("hp", ValueType::Float)]);
+        let a = w.spawn_at(Vec2::new(0.0, 0.0));
+        let b = w.spawn_at(Vec2::new(100.0, 0.0));
+        let c = w.spawn_at(Vec2::new(101.0, 0.0));
+        for (e, hp) in [(a, 10.0), (b, 90.0), (c, 10.0)] {
+            w.set_f32(e, "hp", hp).unwrap();
+        }
+        let chain = |center: Vec2| {
+            ViewPlan::new(
+                PlanNode::scan(Query::select().within(center, 10.0))
+                    .filtered(Pred::new("hp", CmpOp::Lt, Value::Float(50.0))),
+            )
+        };
+        let v = w.register_view_plan(chain(Vec2::ZERO)).unwrap();
+        assert_eq!(w.view_rows(v), &[a]);
+        w.retarget_view(v, Vec2::new(100.0, 0.0), 10.0);
+        assert_eq!(w.view_rows(v), &[c]);
+        assert_eq!(w.view_plan(v), Some(&chain(Vec2::new(100.0, 0.0))));
+        assert_eq!(w.view_output(v), chain(Vec2::new(100.0, 0.0)).evaluate(&w).unwrap());
+        // the fused query keeps the filter and carries the new disk
+        assert_eq!(w.view_query(v).run_scan(&w), vec![c]);
+    }
+
+    #[test]
+    fn join_views_do_not_retarget() {
+        use crate::dvm::{JoinOn, PlanNode, ViewPlan};
+        let mut w = World::new();
+        w.spawn_at(Vec2::ZERO);
+        let scan = || PlanNode::scan(Query::select());
+        let v = w
+            .register_view_plan(ViewPlan::join(scan(), scan(), JoinOn::Within { radius: 5.0 }))
+            .unwrap();
+        assert!(!w.retarget_view_slot(v.slot(), Vec2::ZERO, 1.0), "replay skips it");
+        let mut clone = w.clone();
+        assert!(
+            std::panic::catch_unwind(move || clone.retarget_view(v, Vec2::ZERO, 1.0)).is_err(),
+            "a join view follows its anchor instead"
+        );
     }
 
     #[test]
@@ -968,6 +588,7 @@ mod tests {
             wounded_query().run_scan(&w),
             "rescan fallback must agree with the oracle"
         );
+        assert_eq!(w.view_plan(v), Some(&crate::dvm::ViewPlan::scan(wounded_query())));
     }
 
     #[test]

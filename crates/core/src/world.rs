@@ -52,7 +52,7 @@ pub enum CoreError {
     /// An index already exists on the component.
     DuplicateIndex(String),
     /// Catalog import found a live view at the slot with a different
-    /// standing query (recovery would silently rebind subscribers).
+    /// plan (recovery would silently rebind subscribers).
     ViewSlotConflict(u32),
     /// An operator tree failed structural validation (nesting, projected
     /// columns, aggregate support, depth bound) — see [`crate::dvm`].
@@ -77,7 +77,7 @@ impl fmt::Display for CoreError {
                 write!(f, "component {c:?} already has a secondary index")
             }
             CoreError::ViewSlotConflict(s) => {
-                write!(f, "view slot {s} holds a different standing query")
+                write!(f, "view slot {s} holds a different view plan")
             }
             CoreError::PlanInvalid(why) => write!(f, "invalid view plan: {why}"),
         }
@@ -969,33 +969,28 @@ impl World {
     /// maintained incrementally from the world's delta stream from here
     /// on (see [`crate::view`] for the maintenance invariants). Returns a
     /// handle for [`World::view_rows`] / [`World::take_view_changelog`].
+    /// The view is the one-operator plan `ViewPlan::scan(query)`.
     ///
     /// While at least one view is registered, every write path records a
     /// compact delta; [`World::refresh_views`] (called automatically at
     /// every tick bump) folds the pending batch into all views.
     pub fn register_view(&mut self, query: Query) -> ViewId {
-        // Fold any pending changes under the old view set first so the
-        // initial materialization and the stream agree on "now".
-        self.refresh_views();
-        let rows = query.run(self);
-        let id = self.views.register(self.world_id, query.clone(), rows);
-        self.record_catalog(ChangeOp::RegisterView {
-            slot: id.slot,
-            query,
-        });
-        id
+        self.register_view_plan(crate::dvm::ViewPlan::scan(query))
+            .expect("a bare scan plan is always valid")
     }
 
     /// Register an operator-tree view ([`crate::dvm::ViewPlan`]): the
     /// plan is validated and materialized now, then maintained
-    /// incrementally by per-operator delta rules from the same change
-    /// stream that feeds single-table views. Errors on structurally
-    /// invalid plans ([`CoreError::PlanInvalid`]); nothing is registered
-    /// or recorded then.
+    /// incrementally by per-operator delta rules from the change
+    /// stream. Errors on structurally invalid plans
+    /// ([`CoreError::PlanInvalid`]); nothing is registered or recorded
+    /// then.
     pub fn register_view_plan(&mut self, plan: crate::dvm::ViewPlan) -> Result<ViewId, CoreError> {
+        // Fold any pending changes under the old view set first so the
+        // initial materialization and the stream agree on "now".
         self.refresh_views();
         let view = crate::dvm::PlanView::new(plan.clone(), self)?;
-        let id = self.views.register_plan(self.world_id, view);
+        let id = self.views.register(self.world_id, view);
         self.record_catalog(ChangeOp::RegisterPlanView {
             slot: id.slot,
             plan,
@@ -1010,6 +1005,18 @@ impl World {
             id.world == self.world_id,
             "view {id:?} belongs to a different world"
         );
+    }
+
+    /// The live view behind a handle of this world.
+    fn view_state(&self, id: ViewId) -> &crate::dvm::PlanView {
+        self.check_view_lineage(id);
+        self.views.get(id)
+    }
+
+    /// Mutable [`World::view_state`].
+    fn view_state_mut(&mut self, id: ViewId) -> &mut crate::dvm::PlanView {
+        self.check_view_lineage(id);
+        self.views.get_mut(id)
     }
 
     /// Drop a standing view; returns whether it existed. Dropping the
@@ -1035,14 +1042,17 @@ impl World {
         id.world == self.world_id && self.views.contains_view(id)
     }
 
-    /// Materialized rows of a view, sorted by entity id. Reflects the
+    /// Materialized rows of a row view (a plan whose root is a
+    /// scan/filter/project chain), sorted by entity id. Reflects the
     /// state as of the last [`World::refresh_views`].
     ///
     /// # Panics
-    /// On foreign, unknown, or dropped view ids (programmer error).
+    /// On foreign, unknown, or dropped view ids, and on join or group
+    /// views (programmer error).
     pub fn view_rows(&self, id: ViewId) -> &[EntityId] {
-        self.check_view_lineage(id);
-        self.views.rows(id)
+        self.view_state(id)
+            .rows()
+            .unwrap_or_else(|| no_such_output(id, "entity rows"))
     }
 
     /// Number of rows currently in a view.
@@ -1052,56 +1062,64 @@ impl World {
 
     /// True when `e` is currently a member of the view.
     pub fn view_contains(&self, id: ViewId, e: EntityId) -> bool {
-        self.check_view_lineage(id);
-        self.views.contains_row(id, e)
+        self.view_state(id).contains_row(e)
     }
 
-    /// The standing query a view maintains.
+    /// The standing query a row view maintains: its scan's query with
+    /// every filter of the chain conjoined.
+    ///
+    /// # Panics
+    /// As [`World::view_rows`].
     pub fn view_query(&self, id: ViewId) -> &Query {
-        self.check_view_lineage(id);
-        self.views.query(id)
+        self.view_state(id)
+            .query()
+            .unwrap_or_else(|| no_such_output(id, "standing query"))
     }
 
     /// Peek at the changes accumulated since the changelog was last
     /// taken (does not consume).
     pub fn view_changelog(&self, id: ViewId) -> &Changelog {
-        self.check_view_lineage(id);
-        self.views.changelog(id)
+        self.view_state(id)
+            .rows_log()
+            .unwrap_or_else(|| no_such_output(id, "row changelog"))
     }
 
     /// Consume a view's accumulated changelog — the per-tick changelog
     /// when called once per tick.
     pub fn take_view_changelog(&mut self, id: ViewId) -> Changelog {
-        self.check_view_lineage(id);
-        self.views.take_changelog(id)
+        self.view_state_mut(id)
+            .take_rows_log()
+            .unwrap_or_else(|| no_such_output(id, "row changelog"))
     }
 
     /// Maintenance counters of a view.
     pub fn view_stats(&self, id: ViewId) -> ViewStats {
-        self.check_view_lineage(id);
-        self.views.stats(id)
+        self.view_state(id).stats()
     }
 
-    // ---- operator-tree views (differential view maintenance) ----
-
-    /// The operator tree a view maintains, when `id` names a plan view
-    /// (`None` for single-table query views).
+    /// The operator tree a view maintains (`Some` for every live view;
+    /// a query view's plan is `ViewPlan::scan(query)`).
     pub fn view_plan(&self, id: ViewId) -> Option<&crate::dvm::ViewPlan> {
-        self.check_view_lineage(id);
-        self.views.plan(id)
+        Some(self.view_state(id).plan())
     }
 
-    /// The live plan view maintaining exactly `plan`, if one exists —
+    /// The live view maintaining exactly `plan`, if one exists —
     /// subscribers re-adopt their views across reconnects with this
-    /// (the plan-view analogue of scanning `view_ids` for a query).
+    /// instead of registering a duplicate.
     pub fn find_plan_view(&self, plan: &crate::dvm::ViewPlan) -> Option<ViewId> {
         self.views
-            .live_plan_slots()
+            .live_slots()
             .find(|(_, p)| *p == plan)
             .map(|(slot, _)| ViewId {
                 world: self.world_id,
                 slot,
             })
+    }
+
+    /// First live view maintaining exactly `query` as a bare scan plan —
+    /// [`World::find_plan_view`] for [`World::register_view`]'s views.
+    pub fn find_view(&self, query: &Query) -> Option<ViewId> {
+        self.find_plan_view(&crate::dvm::ViewPlan::scan(query.clone()))
     }
 
     /// Materialized pairs of a join view, ascending by `(left, right)`.
@@ -1110,8 +1128,9 @@ impl World {
     /// On foreign, unknown, or dropped ids, and on views that do not
     /// materialize pairs (programmer error).
     pub fn view_pairs(&self, id: ViewId) -> &[(EntityId, EntityId)] {
-        self.check_view_lineage(id);
-        self.views.pairs(id)
+        self.view_state(id)
+            .pairs()
+            .unwrap_or_else(|| no_such_output(id, "join pairs"))
     }
 
     /// Materialized group rows of a group-aggregate view, ascending by
@@ -1120,8 +1139,9 @@ impl World {
     /// # Panics
     /// As [`World::view_pairs`], for non-group views.
     pub fn view_groups(&self, id: ViewId) -> &[crate::dvm::GroupRow] {
-        self.check_view_lineage(id);
-        self.views.groups(id)
+        self.view_state(id)
+            .groups()
+            .unwrap_or_else(|| no_such_output(id, "group rows"))
     }
 
     /// Aggregate value of the group keyed `key` (`None` = the global
@@ -1135,43 +1155,45 @@ impl World {
 
     /// Min/max retract-and-recompute count of a group-aggregate view.
     pub fn view_retract_recomputes(&self, id: ViewId) -> u64 {
-        self.check_view_lineage(id);
-        self.views.retract_recomputes(id)
+        self.view_state(id).retract_recomputes()
     }
 
-    /// Snapshot of an operator-tree view's maintained output — the
-    /// shape [`crate::dvm::ViewPlan::evaluate`] returns, so callers can
+    /// Snapshot of a view's maintained output — the shape
+    /// [`crate::dvm::ViewPlan::evaluate`] returns, so callers can
     /// compare the incrementally-maintained state against a fresh
     /// recompute with one equality check.
     pub fn view_output(&self, id: ViewId) -> crate::dvm::PlanOutput {
-        self.check_view_lineage(id);
-        self.views.plan_output(id)
+        self.view_state(id).output()
     }
 
     /// Peek at a join view's accumulated pair changelog (does not
     /// consume).
     pub fn view_pair_changelog(&self, id: ViewId) -> &crate::dvm::PairChangelog {
-        self.check_view_lineage(id);
-        self.views.pair_changelog(id)
+        self.view_state(id)
+            .pair_log()
+            .unwrap_or_else(|| no_such_output(id, "pair changelog"))
     }
 
     /// Consume a join view's accumulated pair changelog.
     pub fn take_view_pair_changelog(&mut self, id: ViewId) -> crate::dvm::PairChangelog {
-        self.check_view_lineage(id);
-        self.views.take_pair_changelog(id)
+        self.view_state_mut(id)
+            .take_pair_log()
+            .unwrap_or_else(|| no_such_output(id, "pair changelog"))
     }
 
     /// Peek at a group view's accumulated group changelog (does not
     /// consume).
     pub fn view_group_changelog(&self, id: ViewId) -> &crate::dvm::GroupChangelog {
-        self.check_view_lineage(id);
-        self.views.group_changelog(id)
+        self.view_state(id)
+            .group_log()
+            .unwrap_or_else(|| no_such_output(id, "group changelog"))
     }
 
     /// Consume a group view's accumulated group changelog.
     pub fn take_view_group_changelog(&mut self, id: ViewId) -> crate::dvm::GroupChangelog {
-        self.check_view_lineage(id);
-        self.views.take_group_changelog(id)
+        self.view_state_mut(id)
+            .take_group_log()
+            .unwrap_or_else(|| no_such_output(id, "group changelog"))
     }
 
     /// Row-op changes recorded since the last refresh. Views are stale
@@ -1209,16 +1231,25 @@ impl World {
         self.changes.mark_views_folded();
     }
 
-    /// Move a spatial view's `within` restriction (interest bubbles and
+    /// Move a row view's `within` restriction (interest bubbles and
     /// aggro ranges follow their focus entity). Pending changes are
-    /// folded first, then the view rescans under the new disk and the
-    /// membership diff lands in its changelog as `entered` / `exited`.
+    /// folded first, then the scan's disk is rewritten in the view's
+    /// plan, the view rescans under it, and the membership diff lands in
+    /// its changelog as `entered` / `exited`.
+    ///
+    /// # Panics
+    /// As [`World::view_rows`]: join and group views follow their
+    /// anchor's position deltas instead of retargeting.
     pub fn retarget_view(&mut self, id: ViewId, center: Vec2, radius: f32) {
         self.check_view_lineage(id);
         self.refresh_views();
         let mut views = std::mem::take(&mut self.views);
-        views.retarget(self, id, center, radius);
+        let metrics = self.core_metrics().map(Arc::as_ref);
+        let retargeted = views.get_mut(id).retarget(self, center, radius, metrics);
         self.views = views;
+        if !retargeted {
+            no_such_output(id, "entity rows to retarget");
+        }
         self.record_catalog(ChangeOp::RetargetView {
             slot: id.slot,
             x: center.x,
@@ -1261,14 +1292,9 @@ impl World {
                 .map(|(n, k)| (n.to_string(), k))
                 .collect(),
             view_slots: self.views.slot_count(),
-            views: self
-                .views
-                .live_slots()
-                .map(|(slot, q)| (slot, q.clone()))
-                .collect(),
             plan_views: self
                 .views
-                .live_plan_slots()
+                .live_slots()
                 .map(|(slot, p)| (slot, p.clone()))
                 .collect(),
         }
@@ -1285,9 +1311,6 @@ impl World {
             self.ensure_index(component, *kind)?;
         }
         self.views.reserve_slots(cat.view_slots);
-        for (slot, query) in &cat.views {
-            self.import_view_at_slot(*slot, query.clone())?;
-        }
         for (slot, plan) in &cat.plan_views {
             self.import_plan_view_at_slot(*slot, plan.clone())?;
         }
@@ -1313,17 +1336,8 @@ impl World {
             }
         }
         for id in self.view_ids() {
-            let keep = cat
-                .views
-                .iter()
-                .any(|(slot, q)| *slot == id.slot && q == self.view_query(id));
-            if !keep {
-                self.drop_view(id);
-            }
-        }
-        for id in self.plan_view_ids() {
             let keep = cat.plan_views.iter().any(|(slot, p)| {
-                *slot == id.slot && Some(p) == self.view_plan(id)
+                *slot == id.slot && Some(p) == self.views.plan_at_slot(id.slot)
             });
             if !keep {
                 self.drop_view(id);
@@ -1347,8 +1361,7 @@ impl World {
         Ok(true)
     }
 
-    /// Handles of every live single-table standing view, slot-ordered.
-    /// Operator-tree views are listed by [`World::plan_view_ids`].
+    /// Handles of every live view, slot-ordered.
     pub fn view_ids(&self) -> Vec<ViewId> {
         self.views
             .live_slots()
@@ -1359,70 +1372,18 @@ impl World {
             .collect()
     }
 
-    /// Handles of every live operator-tree view, slot-ordered.
-    pub fn plan_view_ids(&self) -> Vec<ViewId> {
-        self.views
-            .live_plan_slots()
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
-            .collect()
-    }
-
-    /// Handle of the live view at `slot` (either kind), if any.
+    /// Handle of the live view at `slot`, if any.
     pub fn view_id_at(&self, slot: u32) -> Option<ViewId> {
-        if self.views.query_at_slot(slot).is_some() || self.views.plan_at_slot(slot).is_some() {
-            Some(ViewId {
-                world: self.world_id,
-                slot,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// First live view maintaining exactly `query` — how a subscriber
-    /// re-attaches to its standing view after a restart instead of
-    /// registering a duplicate.
-    pub fn find_view(&self, query: &Query) -> Option<ViewId> {
-        self.views
-            .live_slots()
-            .find(|(_, q)| *q == query)
-            .map(|(slot, _)| ViewId {
-                world: self.world_id,
-                slot,
-            })
-    }
-
-    /// Re-register a standing view at an exact slot (recovery replay).
-    /// The view materializes from current state with an empty changelog.
-    /// A live slot holding the same query is accepted unchanged
-    /// (idempotent redo); a different query is a conflict.
-    pub fn import_view_at_slot(&mut self, slot: u32, query: Query) -> Result<ViewId, CoreError> {
-        let id = ViewId {
+        self.views.plan_at_slot(slot).map(|_| ViewId {
             world: self.world_id,
             slot,
-        };
-        if let Some(existing) = self.views.query_at_slot(slot) {
-            return if *existing == query {
-                Ok(id)
-            } else {
-                Err(CoreError::ViewSlotConflict(slot))
-            };
-        }
-        self.refresh_views();
-        let rows = query.run(self);
-        let installed = self.views.install_at_slot(slot, query.clone(), rows);
-        debug_assert!(installed, "slot checked dead above");
-        self.record_catalog(ChangeOp::RegisterView { slot, query });
-        Ok(id)
+        })
     }
 
-    /// Re-register an operator-tree view at an exact slot (recovery
-    /// replay). The view materializes from current state with empty
-    /// changelogs. A live slot holding the same plan is accepted
-    /// unchanged (idempotent redo); any other occupant is a conflict.
+    /// Re-register a view at an exact slot (recovery replay). The view
+    /// materializes from current state with empty changelogs. A live
+    /// slot holding the same plan is accepted unchanged (idempotent
+    /// redo); any other occupant is a conflict.
     pub fn import_plan_view_at_slot(
         &mut self,
         slot: u32,
@@ -1439,15 +1400,10 @@ impl World {
                 Err(CoreError::ViewSlotConflict(slot))
             };
         }
-        if self.views.query_at_slot(slot).is_some() {
-            return Err(CoreError::ViewSlotConflict(slot));
-        }
         self.refresh_views();
         let view = crate::dvm::PlanView::new(plan.clone(), self)?;
-        let installed = self.views.install_plan_at_slot(slot, view);
-        if !installed {
-            return Err(CoreError::ViewSlotConflict(slot));
-        }
+        let installed = self.views.install_at_slot(slot, view);
+        debug_assert!(installed, "slot checked dead above");
         self.record_catalog(ChangeOp::RegisterPlanView { slot, plan });
         Ok(id)
     }
@@ -1461,14 +1417,14 @@ impl World {
     }
 
     /// [`World::retarget_view`] addressed by slot (recovery replay).
-    /// Returns `false` when the slot is dead.
+    /// Returns `false` when the slot is dead or holds no row view.
     pub fn retarget_view_slot(&mut self, slot: u32, center: Vec2, radius: f32) -> bool {
         match self.view_id_at(slot) {
-            Some(id) => {
+            Some(id) if self.views.get(id).rows().is_some() => {
                 self.retarget_view(id, center, radius);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -1729,6 +1685,12 @@ impl World {
     }
 }
 
+/// Panic for a view handle whose view lacks the requested output shape
+/// (a row accessor on a join view, a pair accessor on a row view, ...).
+fn no_such_output(id: ViewId, what: &str) -> ! {
+    panic!("view {id:?} has no {what}")
+}
+
 /// The definitions of a world's derived state — secondary indexes and
 /// standing views — plus its lineage and tick identity. Exported by
 /// [`World::export_catalog`], rebuilt by [`World::import_catalog`]; the
@@ -1747,9 +1709,7 @@ pub struct WorldCatalog {
     /// Total view slots ever issued — dropped slots stay burned after
     /// recovery so stale handles cannot alias a new view.
     pub view_slots: u32,
-    /// `(slot, standing query)` per live single-table view, slot-ordered.
-    pub views: Vec<(u32, Query)>,
-    /// `(slot, operator tree)` per live operator-tree view, slot-ordered.
+    /// `(slot, operator tree)` per live view, slot-ordered.
     pub plan_views: Vec<(u32, crate::dvm::ViewPlan)>,
 }
 
@@ -2035,7 +1995,7 @@ mod tests {
         w.advance_tick_to(7);
         let cat = w.export_catalog();
         assert_eq!(cat.view_slots, 2);
-        assert_eq!(cat.views.len(), 1);
+        assert_eq!(cat.plan_views.len(), 1);
         assert_eq!(cat.tick, 7);
 
         // rebuild a bare world with the same rows, then import

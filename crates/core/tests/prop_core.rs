@@ -709,9 +709,6 @@ fn replay_change(w: &mut World, op: &gamedb_core::ChangeOp) {
             let name = w.component_name(*component).unwrap().to_string();
             w.drop_index(&name);
         }
-        ChangeOp::RegisterView { slot, query } => {
-            w.import_view_at_slot(*slot, query.clone()).unwrap();
-        }
         ChangeOp::RegisterPlanView { slot, plan } => {
             w.import_plan_view_at_slot(*slot, plan.clone()).unwrap();
         }

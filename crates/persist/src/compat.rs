@@ -16,23 +16,70 @@
 //!   hot `Set` record — from raw hand-written bytes, so the exact old
 //!   layout is pinned independent of the encoder,
 //! * a mixed log (legacy prefix, interned tail) — what a store looks
-//!   like after an in-place upgrade without a fresh checkpoint.
+//!   like after an in-place upgrade without a fresh checkpoint,
+//! * the durable state a pre-plan-lowering store left behind: a v4
+//!   snapshot with query-view catalog entries next to its plan views,
+//!   and a WAL tail with raw tag-8 `RegisterView` frames and a
+//!   `RetargetView`. Every view now is an operator tree, so those
+//!   entries must come back as scan plans at their original slots.
 
 #![cfg(test)]
 
 use bytes::{BufMut, BytesMut};
 use gamedb_content::{CmpOp, Value, ValueType};
-use gamedb_core::{ComponentId, EntityId, IndexKind, Query, World};
+use gamedb_core::{
+    AggFn, ComponentId, EntityId, IndexKind, PlanNode, Query, ViewPlan, World, WorldCatalog,
+};
 use gamedb_spatial::Vec2;
 
-use crate::snapshot::{checksum, decode, put_catalog, put_str, put_value};
+use crate::snapshot::{
+    checksum, decode, kind_tag, put_plan, put_query, put_str, put_value,
+};
 use crate::wal::{decode_log, CompRef, WalRecord};
 use crate::walstore::recover_from_parts;
 
-/// The pre-interning snapshot encoder, verbatim: magic v2, schema in
-/// **name** order, entities, rows by schema index, catalog, checksum.
-fn encode_v2(world: &World) -> Vec<u8> {
-    const MAGIC_V2: u32 = 0x6744_4202;
+const MAGIC_V2: u32 = 0x6744_4202;
+const MAGIC_V4: u32 = 0x6744_4204;
+
+/// The catalog section as encoders wrote it before every view became a
+/// plan: bare scan plans (what `register_view` made) go in the
+/// query-view section, every other plan in the trailing plan section,
+/// which only v4 has.
+fn put_legacy_catalog(buf: &mut BytesMut, cat: &WorldCatalog, with_plans: bool) {
+    buf.put_u32_le(cat.indexes.len() as u32);
+    for (component, kind) in &cat.indexes {
+        put_str(buf, component);
+        buf.put_u8(kind_tag(*kind));
+    }
+    buf.put_u32_le(cat.view_slots);
+    let (queries, plans): (Vec<_>, Vec<_>) = cat
+        .plan_views
+        .iter()
+        .partition(|(_, p)| matches!(p.root, PlanNode::Scan { only: None, .. }));
+    buf.put_u32_le(queries.len() as u32);
+    for (slot, plan) in queries {
+        let PlanNode::Scan { query, .. } = &plan.root else {
+            unreachable!("partitioned on bare scans")
+        };
+        buf.put_u32_le(*slot);
+        put_query(buf, query);
+    }
+    if with_plans {
+        buf.put_u32_le(plans.len() as u32);
+        for (slot, plan) in plans {
+            buf.put_u32_le(*slot);
+            put_plan(buf, plan);
+        }
+    } else {
+        assert!(plans.is_empty(), "pre-v4 layouts carry no plan views");
+    }
+}
+
+/// The snapshot encoders before plan lowering, verbatim: v2 writes the
+/// schema in **name** order and no plan section, v3 the schema in id
+/// order, v4 adds the plan section. Then entities, rows by schema
+/// index, catalog ([`put_legacy_catalog`]), checksum.
+pub(crate) fn encode_legacy(world: &World, magic: u32) -> Vec<u8> {
     let type_tag = |ty: ValueType| -> u8 {
         match ty {
             ValueType::Float => 0,
@@ -43,10 +90,11 @@ fn encode_v2(world: &World) -> Vec<u8> {
         }
     };
     let mut body = BytesMut::new();
-    let schema: Vec<(String, ValueType)> = world
-        .schema()
-        .map(|(n, t)| (n.to_string(), t))
-        .collect();
+    let schema: Vec<(String, ValueType)> = if magic == MAGIC_V2 {
+        world.schema().map(|(n, t)| (n.to_string(), t)).collect()
+    } else {
+        world.schema_by_id().map(|(_, n, t)| (n.to_string(), t)).collect()
+    };
     body.put_u32_le(schema.len() as u32);
     for (name, ty) in &schema {
         put_str(&mut body, name);
@@ -69,9 +117,9 @@ fn encode_v2(world: &World) -> Vec<u8> {
             put_value(&mut body, &v);
         }
     }
-    put_catalog(&mut body, &world.export_catalog(), false);
+    put_legacy_catalog(&mut body, &world.export_catalog(), magic == MAGIC_V4);
     let mut out = BytesMut::with_capacity(body.len() + 28);
-    out.put_u32_le(MAGIC_V2);
+    out.put_u32_le(magic);
     out.put_u64_le(world.tick());
     out.put_u64_le(world.lineage());
     out.put_u32_le(body.len() as u32);
@@ -79,6 +127,21 @@ fn encode_v2(world: &World) -> Vec<u8> {
     out.put_slice(&body);
     out.put_u32_le(cksum);
     out.to_vec()
+}
+
+/// The pre-interning v2 snapshot encoder.
+fn encode_v2(world: &World) -> Vec<u8> {
+    encode_legacy(world, MAGIC_V2)
+}
+
+/// Wrap a record payload in the WAL frame: `len | payload | cksum`.
+fn frame(payload: BytesMut) -> Vec<u8> {
+    let mut framed = BytesMut::new();
+    framed.put_u32_le(payload.len() as u32);
+    let sum = checksum(&payload);
+    framed.put_slice(&payload);
+    framed.put_u32_le(sum);
+    framed.to_vec()
 }
 
 /// A raw legacy `Set` frame, byte-by-byte from the old wire spec:
@@ -91,12 +154,17 @@ fn raw_legacy_set_frame(entity: EntityId, name: &str, hp: f32) -> Vec<u8> {
     payload.put_slice(name.as_bytes());
     payload.put_u8(0); // value tag: Float
     payload.put_f32_le(hp);
-    let mut framed = BytesMut::new();
-    framed.put_u32_le(payload.len() as u32);
-    let sum = checksum(&payload);
-    framed.put_slice(&payload);
-    framed.put_u32_le(sum);
-    framed.to_vec()
+    frame(payload)
+}
+
+/// A raw query-view registration frame as written before plan
+/// lowering: `len | tag=8 | slot | query | cksum`.
+fn raw_register_view_frame(slot: u32, query: &Query) -> Vec<u8> {
+    let mut payload = BytesMut::new();
+    payload.put_u8(8); // TAG_REGISTER_VIEW
+    payload.put_u32_le(slot);
+    put_query(&mut payload, query);
+    frame(payload)
 }
 
 fn sample_world() -> (World, Vec<EntityId>) {
@@ -173,7 +241,8 @@ fn legacy_wal_frames_recover_bit_identically() {
     log.extend_from_slice(&raw_legacy_set_frame(e0, "hp", 12.5));
     // the rest of the legacy record family via CompRef::Name encoding
     let e1 = EntityId::from_bits(1);
-    for r in [
+    let wounded = Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0));
+    let records = [
         WalRecord::Spawn { entity: e1, x: 3.0, y: 4.0 },
         WalRecord::Set {
             entity: e1,
@@ -181,14 +250,13 @@ fn legacy_wal_frames_recover_bit_identically() {
             value: Value::Float(9.0),
         },
         WalRecord::CreateIndex { component: "hp".into(), kind: IndexKind::Sorted },
-        WalRecord::RegisterView {
-            slot: 0,
-            query: Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0)),
-        },
+    ];
+    let tail = [
         WalRecord::RemoveComponent { entity: e1, component: "mana".into() },
         WalRecord::TickTo { tick: 4 },
         WalRecord::DropIndex { component: "hp".into() },
-    ] {
+    ];
+    for (i, r) in records.iter().chain(&tail).enumerate() {
         // legacy-form records must round-trip through the current codec
         // in legacy form (compaction re-frames decoded records)
         let bytes = r.encode();
@@ -196,6 +264,16 @@ fn legacy_wal_frames_recover_bit_identically() {
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, vec![r.clone()]);
         log.extend_from_slice(&bytes);
+        if i + 1 == records.len() {
+            // a raw query-view registration, which decodes as a scan plan
+            let raw = raw_register_view_frame(0, &wounded);
+            let (decoded, _) = decode_log(&raw);
+            assert_eq!(
+                decoded,
+                vec![WalRecord::RegisterPlanView { slot: 0, plan: ViewPlan::scan(wounded.clone()) }]
+            );
+            log.extend_from_slice(&raw);
+        }
     }
 
     let (recovered, seq, replayed) =
@@ -210,9 +288,7 @@ fn legacy_wal_frames_recover_bit_identically() {
     oracle.define_component("mana", ValueType::Float).unwrap();
     oracle.set_f32(e1, "mana", 9.0).unwrap();
     oracle.create_index("hp", IndexKind::Sorted).unwrap();
-    oracle
-        .import_view_at_slot(0, Query::select().filter("hp", CmpOp::Lt, Value::Float(20.0)))
-        .unwrap();
+    oracle.import_plan_view_at_slot(0, ViewPlan::scan(wounded)).unwrap();
     oracle.remove_component(e1, "mana").unwrap();
     oracle.advance_tick_to(4);
     oracle.drop_index("hp");
@@ -220,6 +296,76 @@ fn legacy_wal_frames_recover_bit_identically() {
     oracle.reset_view_changelogs();
 
     crate::crashpoint::assert_equivalent(&recovered, &oracle).unwrap();
+}
+
+/// The durable state of a store written before every view became an
+/// operator tree: a v4 snapshot whose catalog keeps query views in its
+/// query-view section (next to a group plan), and a WAL tail that
+/// registers more query views with raw tag-8 frames and retargets one.
+/// Recovery gives back scan plan views at the original slots — rows
+/// equal to `run_scan`, the retarget applied — and the plan view.
+#[test]
+fn parent_v4_snapshot_and_query_view_wal_tail_recover_as_scan_plans() {
+    let (mut w, ids) = sample_world();
+    let bubble_q = Query::select().within(Vec2::ZERO, 4.0);
+    let bubble = w.register_view(bubble_q.clone());
+    let wealth = w
+        .register_view_plan(ViewPlan::group_by(
+            PlanNode::scan(Query::select()),
+            "team",
+            AggFn::Sum("gold".into()),
+        ))
+        .unwrap();
+    let snapshot = encode_legacy(&w, MAGIC_V4);
+    // the bytes really hold query-view entries: the current decoder
+    // lowers them, the current encoder never writes them
+    assert_ne!(snapshot, crate::snapshot::encode(&w).to_vec());
+
+    let rich = Query::select().filter("gold", CmpOp::Ge, Value::Int(14));
+    let reds = Query::select().filter("team", CmpOp::Eq, Value::Str("red".into()));
+    let (rich_slot, reds_slot) = (w.export_catalog().view_slots, w.export_catalog().view_slots + 1);
+    let mut log: Vec<u8> = Vec::new();
+    log.extend_from_slice(&WalRecord::CheckpointMark { seq: 0 }.encode());
+    log.extend_from_slice(&raw_register_view_frame(rich_slot, &rich));
+    log.extend_from_slice(
+        &WalRecord::Set { entity: ids[0], component: "gold".into(), value: Value::Int(99) }
+            .encode(),
+    );
+    log.extend_from_slice(&raw_register_view_frame(reds_slot, &reds));
+    log.extend_from_slice(
+        &WalRecord::RetargetView { slot: bubble.slot(), x: 16.0, y: -5.0, radius: 1.5 }.encode(),
+    );
+    log.extend_from_slice(&WalRecord::DropView { slot: reds_slot }.encode());
+
+    let (recovered, seq, replayed) =
+        recover_from_parts(&[(0u64, snapshot.as_slice())], &log).unwrap();
+    assert_eq!((seq, replayed), (0, 5));
+
+    // the oracle: the same history through the live API
+    let mut oracle = w;
+    let rich_v = oracle.register_view(rich.clone());
+    assert_eq!(rich_v.slot(), rich_slot);
+    oracle.set(ids[0], "gold", Value::Int(99)).unwrap();
+    let reds_v = oracle.register_view(reds);
+    oracle.retarget_view(bubble, Vec2::new(16.0, -5.0), 1.5);
+    oracle.drop_view(reds_v);
+    oracle.refresh_views();
+    oracle.reset_view_changelogs();
+    crate::crashpoint::assert_equivalent(&recovered, &oracle).unwrap();
+    assert_eq!(recovered.export_catalog(), oracle.export_catalog());
+
+    // the pre-snapshot views and the tail's views sit at their slots
+    // as scan plans, their rows equal to the scan oracle
+    let moved = bubble_q.within(Vec2::new(16.0, -5.0), 1.5);
+    for (slot, query) in [(bubble.slot(), &moved), (rich_slot, &rich)] {
+        let v = recovered.view_id_at(slot).expect("view recovered at its slot");
+        assert_eq!(recovered.view_plan(v), Some(&ViewPlan::scan(query.clone())));
+        assert_eq!(recovered.view_rows(v), query.run_scan(&recovered));
+    }
+    assert_eq!(recovered.view_rows(bubble), &[ids[5]], "the retarget was applied");
+    assert!(recovered.view_contains(rich_v, ids[0]));
+    assert!(recovered.view_id_at(reds_slot).is_none(), "dropped slot stays dropped");
+    assert_eq!(recovered.view_output(wealth), oracle.view_output(wealth));
 }
 
 /// The in-place-upgrade shape: a legacy log tail continued by the new

@@ -136,7 +136,7 @@ pub fn encode_delta(world: &World, prev: &RowHashes) -> (Bytes, RowHashes) {
     // tick, not the base snapshot's
     body.put_u64_le(world.lineage());
     body.put_u64_le(world.tick());
-    crate::snapshot::put_catalog(&mut body, &world.export_catalog(), true);
+    crate::snapshot::put_catalog(&mut body, &world.export_catalog());
     let mut out = BytesMut::with_capacity(body.len() + 16);
     out.put_u32_le(DELTA_MAGIC);
     out.put_u32_le(body.len() as u32);
@@ -179,7 +179,7 @@ pub fn apply_delta(world: &mut World, data: &[u8]) -> Result<(), SnapshotError> 
     }
     need!(4);
     let n_schema = buf.get_u32_le() as usize;
-    let mut schema = Vec::with_capacity(n_schema);
+    let mut schema = Vec::with_capacity(crate::snapshot::bounded_capacity(n_schema, &buf, 5));
     for _ in 0..n_schema {
         need!(4);
         let name_len = buf.get_u32_le() as usize;

@@ -23,8 +23,10 @@ use std::fmt;
 /// the same columns they were recorded against. v4 appends the
 /// operator-tree (plan) views of the differential view engine to the
 /// catalog section, so joins and group aggregates survive recovery at
-/// their exact slots. v3 and v2 snapshots still decode — their catalogs
-/// simply carry no plan views.
+/// their exact slots. Every view is a plan now, so the catalog's older
+/// query-view section is always written empty; the entries older
+/// encoders put there (v2–v4) decode as scan plans at their slots, so
+/// their snapshots still recover.
 const MAGIC: u32 = 0x6744_4204; // "gDB" v4
 const MAGIC_V3: u32 = 0x6744_4203;
 const MAGIC_V2: u32 = 0x6744_4202;
@@ -198,9 +200,9 @@ pub(crate) fn tag_kind(tag: u8) -> Result<IndexKind, SnapshotError> {
     })
 }
 
-/// Encode a standing query: predicates, spatial restriction, exclusion.
-/// Shared by the snapshot catalog section and the WAL's `RegisterView`
-/// record so both sides of recovery agree on the definition.
+/// Encode a standing query: predicates, spatial restriction, exclusion
+/// — the payload of a plan's scan leaf (and of the query-view catalog
+/// entries and `RegisterView` WAL records older encoders wrote).
 pub(crate) fn put_query(buf: &mut BytesMut, q: &Query) {
     buf.put_u32_le(q.predicates().len() as u32);
     for p in q.predicates() {
@@ -398,7 +400,7 @@ fn get_node(buf: &mut Bytes, depth: usize) -> Result<PlanNode, SnapshotError> {
             let input = Box::new(get_node(buf, depth + 1)?);
             need!(4);
             let n = buf.get_u32_le() as usize;
-            let mut columns = Vec::with_capacity(n.min(64));
+            let mut columns = Vec::with_capacity(bounded_capacity(n, buf, 4));
             for _ in 0..n {
                 columns.push(get_str(buf)?);
             }
@@ -458,33 +460,39 @@ pub(crate) fn get_plan(buf: &mut Bytes) -> Result<ViewPlan, SnapshotError> {
     Ok(ViewPlan::new(get_node(buf, 0)?))
 }
 
+/// Capacity to reserve for `n` decoded items of at least `min_item`
+/// encoded bytes each. Counts read from disk or the wire are untrusted:
+/// the reservation never exceeds what the bytes left in `buf` could
+/// hold, so a hostile count fails with [`SnapshotError::Truncated`] at
+/// the first missing item instead of aborting on the allocation.
+pub(crate) fn bounded_capacity(n: usize, buf: &Bytes, min_item: usize) -> usize {
+    n.min(buf.remaining() / min_item.max(1))
+}
+
 /// Encode a world catalog (without lineage/tick, which the snapshot
 /// header already carries). Shared with the delta format, which
 /// carries the catalog wholesale per checkpoint — definitions are tiny
 /// next to rows, and "diffing" them would buy complexity, not bytes.
-/// `with_plans` gates the trailing plan-view section (absent from the
-/// pre-v4 layouts `compat` still writes).
-pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog, with_plans: bool) {
+/// The query-view section older encoders filled is written empty: every
+/// view goes in the plan section.
+pub(crate) fn put_catalog(buf: &mut BytesMut, cat: &WorldCatalog) {
     buf.put_u32_le(cat.indexes.len() as u32);
     for (component, kind) in &cat.indexes {
         put_str(buf, component);
         buf.put_u8(kind_tag(*kind));
     }
     buf.put_u32_le(cat.view_slots);
-    buf.put_u32_le(cat.views.len() as u32);
-    for (slot, query) in &cat.views {
+    buf.put_u32_le(0); // query-view section
+    buf.put_u32_le(cat.plan_views.len() as u32);
+    for (slot, plan) in &cat.plan_views {
         buf.put_u32_le(*slot);
-        put_query(buf, query);
-    }
-    if with_plans {
-        buf.put_u32_le(cat.plan_views.len() as u32);
-        for (slot, plan) in &cat.plan_views {
-            buf.put_u32_le(*slot);
-            put_plan(buf, plan);
-        }
+        put_plan(buf, plan);
     }
 }
 
+/// Inverse of [`put_catalog`], also for the older layouts: query-view
+/// entries lower to scan plans at their slots, and `with_plans: false`
+/// (v2/v3 snapshots) reads no plan section.
 pub(crate) fn get_catalog(
     buf: &mut Bytes,
     lineage: u64,
@@ -500,7 +508,7 @@ pub(crate) fn get_catalog(
     }
     need!(4);
     let n_indexes = buf.get_u32_le() as usize;
-    let mut indexes = Vec::with_capacity(n_indexes);
+    let mut indexes = Vec::with_capacity(bounded_capacity(n_indexes, buf, 5));
     for _ in 0..n_indexes {
         let name = get_str(buf)?;
         need!(1);
@@ -509,13 +517,12 @@ pub(crate) fn get_catalog(
     need!(8);
     let view_slots = buf.get_u32_le();
     let n_views = buf.get_u32_le() as usize;
-    let mut views = Vec::with_capacity(n_views);
+    let mut plan_views = Vec::with_capacity(bounded_capacity(n_views, buf, 10));
     for _ in 0..n_views {
         need!(4);
         let slot = buf.get_u32_le();
-        views.push((slot, get_query(buf)?));
+        plan_views.push((slot, ViewPlan::scan(get_query(buf)?)));
     }
-    let mut plan_views = Vec::new();
     if with_plans {
         need!(4);
         let n_plans = buf.get_u32_le() as usize;
@@ -525,12 +532,12 @@ pub(crate) fn get_catalog(
             plan_views.push((slot, get_plan(buf)?));
         }
     }
+    plan_views.sort_by_key(|(slot, _)| *slot);
     Ok(WorldCatalog {
         lineage,
         tick,
         indexes,
         view_slots,
-        views,
         plan_views,
     })
 }
@@ -573,8 +580,8 @@ pub fn encode(world: &World) -> Bytes {
             put_value(&mut body, &v);
         }
     }
-    // catalog: index definitions + standing views (both kinds)
-    put_catalog(&mut body, &world.export_catalog(), true);
+    // catalog: index definitions + standing views
+    put_catalog(&mut body, &world.export_catalog());
     // frame: magic, tick, lineage, len, body, checksum
     let mut out = BytesMut::with_capacity(body.len() + 28);
     out.put_u32_le(MAGIC);
@@ -620,7 +627,7 @@ pub fn decode(data: &[u8]) -> Result<(World, u64), SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     let n_schema = buf.get_u32_le() as usize;
-    let mut schema = Vec::with_capacity(n_schema);
+    let mut schema = Vec::with_capacity(bounded_capacity(n_schema, &buf, 5));
     for _ in 0..n_schema {
         let name = get_str(&mut buf)?;
         if buf.remaining() < 1 {
@@ -639,7 +646,7 @@ pub fn decode(data: &[u8]) -> Result<(World, u64), SnapshotError> {
         return Err(SnapshotError::Truncated);
     }
     let n_entities = buf.get_u32_le() as usize;
-    let mut entities = Vec::with_capacity(n_entities);
+    let mut entities = Vec::with_capacity(bounded_capacity(n_entities, &buf, 8));
     for _ in 0..n_entities {
         if buf.remaining() < 8 {
             return Err(SnapshotError::Truncated);
@@ -888,21 +895,47 @@ mod tests {
         let mut w = sample_world();
         let v = w.register_view(Query::select().filter("hp", CmpOp::Lt, Value::Float(100.0)));
         w.refresh_views();
-        // rebuild the v4 frame under the v3 magic: identical body layout
-        // minus the trailing plan-view section (the empty u32 count)
-        let v4 = encode(&w);
-        let len = u32::from_le_bytes(v4[20..24].try_into().unwrap()) as usize;
-        let body = &v4[24..24 + len - 4];
-        let mut legacy = BytesMut::with_capacity(body.len() + 28);
-        legacy.put_u32_le(MAGIC_V3);
-        legacy.extend_from_slice(&v4[4..20]); // tick + lineage
-        legacy.put_u32_le(body.len() as u32);
-        legacy.extend_from_slice(body);
-        legacy.put_u32_le(checksum(body));
+        // the v3 layout: query-view catalog entries, no plan section
+        let legacy = crate::compat::encode_legacy(&w, MAGIC_V3);
         let (w2, tick) = decode(&legacy).unwrap();
         assert_eq!(tick, w.tick());
         assert_eq!(w2.rows(), w.rows());
         assert_eq!(w2.view_rows(v), w.view_rows(v));
+        assert_eq!(w2.export_catalog(), w.export_catalog());
+    }
+
+    /// A checksum-valid body whose counts claim more items than its
+    /// bytes could hold must fail with an error, never reserve memory
+    /// for the claim (a `u32::MAX` schema count used to abort the
+    /// process on a 100+ GB allocation).
+    #[test]
+    fn hostile_counts_fail_closed() {
+        let frame = |body: &[u8]| {
+            let mut out = BytesMut::new();
+            out.put_u32_le(MAGIC);
+            out.put_u64_le(0);
+            out.put_u64_le(0);
+            out.put_u32_le(body.len() as u32);
+            out.put_slice(body);
+            out.put_u32_le(checksum(body));
+            out.to_vec()
+        };
+        let huge_schema = u32::MAX.to_le_bytes();
+        assert_eq!(decode(&frame(&huge_schema)).unwrap_err(), SnapshotError::Truncated);
+        // an empty schema, then a huge entity count
+        let mut huge_entities = 0u32.to_le_bytes().to_vec();
+        huge_entities.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&frame(&huge_entities)).unwrap_err(), SnapshotError::Truncated);
+        // a valid row image, then a catalog with huge index/view counts
+        let body = encode(&World::new());
+        let rows = &body[24..body.len() - 4];
+        let catalog_at = rows.len() - 16; // 4 counts + view_slots
+        for field in [0usize, 8, 12] {
+            let mut hostile = rows.to_vec();
+            hostile[catalog_at + field..catalog_at + field + 4]
+                .copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode(&frame(&hostile)).is_err(), "catalog field at +{field}");
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gamedb_content::{Value, ValueType};
 use gamedb_core::{
-    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, Query, ViewPlan, World,
+    Change, ChangeOp, ComponentId, CoreError, EntityId, IndexKind, ViewPlan, World,
 };
 use gamedb_spatial::Vec2;
 
 use crate::snapshot::{
-    checksum, get_plan, get_query, get_str, get_value, kind_tag, put_plan, put_query, put_str,
-    put_value, tag_kind, tag_type_pub, type_tag_pub, SnapshotError,
+    bounded_capacity, checksum, get_plan, get_query, get_str, get_value, kind_tag, put_plan,
+    put_str, put_value, tag_kind, tag_type_pub, type_tag_pub, SnapshotError,
 };
 
 /// How a WAL record names a component: by interned id (the current
@@ -146,11 +146,11 @@ pub enum WalRecord {
     CreateIndex { component: CompRef, kind: IndexKind },
     /// Drop the secondary index on a component.
     DropIndex { component: CompRef },
-    /// Register a standing view at an exact slot. Replay re-materializes
-    /// it from post-replay row state; the slot is recorded so pre-crash
-    /// [`gamedb_core::ViewId`] handles keep resolving after recovery.
-    RegisterView { slot: u32, query: Query },
-    /// Register an operator-tree (differential) view at a slot.
+    /// Register a standing view (an operator tree) at an exact slot.
+    /// Replay re-materializes it from post-replay row state; the slot is
+    /// recorded so pre-crash [`gamedb_core::ViewId`] handles keep
+    /// resolving after recovery. Older logs' query-view records (tag 8)
+    /// decode as this record with a scan plan.
     RegisterPlanView { slot: u32, plan: ViewPlan },
     /// Drop the standing view at a slot (either kind).
     DropView { slot: u32 },
@@ -179,6 +179,8 @@ const TAG_MARK: u8 = 4;
 const TAG_REMOVE: u8 = 5;
 const TAG_CREATE_INDEX: u8 = 6;
 const TAG_DROP_INDEX: u8 = 7;
+/// Query-view registration, written before every view became a plan;
+/// decoded only, as a scan-plan [`WalRecord::RegisterPlanView`].
 const TAG_REGISTER_VIEW: u8 = 8;
 const TAG_DROP_VIEW: u8 = 9;
 const TAG_RETARGET_VIEW: u8 = 10;
@@ -312,11 +314,6 @@ impl WalRecord {
                     put_str(payload, name);
                 }
             },
-            WalRecord::RegisterView { slot, query } => {
-                payload.put_u8(TAG_REGISTER_VIEW);
-                payload.put_u32_le(*slot);
-                put_query(payload, query);
-            }
             WalRecord::RegisterPlanView { slot, plan } => {
                 payload.put_u8(TAG_REGISTER_PLAN_VIEW);
                 payload.put_u32_le(*slot);
@@ -467,9 +464,9 @@ impl WalRecord {
             TAG_REGISTER_VIEW => {
                 need!(4);
                 let slot = p.get_u32_le();
-                WalRecord::RegisterView {
+                WalRecord::RegisterPlanView {
                     slot,
-                    query: get_query(&mut p)?,
+                    plan: ViewPlan::scan(get_query(&mut p)?),
                 }
             }
             TAG_REGISTER_PLAN_VIEW => {
@@ -509,7 +506,7 @@ impl WalRecord {
             TAG_BATCH => {
                 need!(4);
                 let count = p.get_u32_le() as usize;
-                let mut ops = Vec::with_capacity(count.min(1024));
+                let mut ops = Vec::with_capacity(bounded_capacity(count, &p, 5));
                 for _ in 0..count {
                     need!(4);
                     let len = p.get_u32_le() as usize;
@@ -589,9 +586,6 @@ impl WalRecord {
                 }
                 Ok(())
             }
-            WalRecord::RegisterView { slot, query } => {
-                world.import_view_at_slot(*slot, query.clone()).map(|_| ())
-            }
             WalRecord::RegisterPlanView { slot, plan } => world
                 .import_plan_view_at_slot(*slot, plan.clone())
                 .map(|_| ()),
@@ -661,10 +655,6 @@ impl WalRecord {
             },
             ChangeOp::DropIndex { component } => WalRecord::DropIndex {
                 component: CompRef::Id(*component),
-            },
-            ChangeOp::RegisterView { slot, query } => WalRecord::RegisterView {
-                slot: *slot,
-                query: query.clone(),
             },
             ChangeOp::RegisterPlanView { slot, plan } => WalRecord::RegisterPlanView {
                 slot: *slot,
@@ -747,6 +737,7 @@ pub fn replay_after_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gamedb_core::Query;
     use gamedb_content::ValueType;
 
     fn sample_records() -> Vec<WalRecord> {
@@ -772,12 +763,14 @@ mod tests {
                 component: "hp".into(),
                 kind: IndexKind::Sorted,
             },
-            WalRecord::RegisterView {
+            WalRecord::RegisterPlanView {
                 slot: 0,
-                query: Query::select()
-                    .filter("hp", CmpOp::Lt, Value::Float(50.0))
-                    .within(Vec2::new(1.0, 2.0), 9.5)
-                    .excluding(e),
+                plan: ViewPlan::scan(
+                    Query::select()
+                        .filter("hp", CmpOp::Lt, Value::Float(50.0))
+                        .within(Vec2::new(1.0, 2.0), 9.5)
+                        .excluding(e),
+                ),
             },
             WalRecord::RetargetView {
                 slot: 0,
@@ -976,9 +969,9 @@ mod tests {
                 component: "hp".into(),
                 kind: IndexKind::Sorted,
             },
-            WalRecord::RegisterView {
+            WalRecord::RegisterPlanView {
                 slot: 0,
-                query: Query::select().filter("hp", CmpOp::Lt, Value::Float(10.0)),
+                plan: ViewPlan::scan(Query::select().filter("hp", CmpOp::Lt, Value::Float(10.0))),
             },
             WalRecord::TickTo { tick: 4 },
         ];
@@ -1031,7 +1024,10 @@ mod tests {
                 once.export_catalog().indexes,
                 twice.export_catalog().indexes
             );
-            assert_eq!(once.export_catalog().views, twice.export_catalog().views);
+            assert_eq!(
+                once.export_catalog().plan_views,
+                twice.export_catalog().plan_views
+            );
         }
     }
 

@@ -1441,7 +1441,7 @@ mod tests {
         // the burned slot is not reused
         let cat = w.export_catalog();
         assert_eq!(cat.view_slots, 1);
-        assert!(cat.views.is_empty());
+        assert!(cat.plan_views.is_empty());
     }
 
     #[test]

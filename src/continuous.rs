@@ -68,34 +68,23 @@ impl ThresholdWatcher {
                     CmpOp::Lt,
                     Value::Float(*threshold as f32),
                 );
-                // Fresh registrations go through the differential view
-                // engine: the threshold predicate lowers into a
-                // single-operator plan (Scan with the filter fused in),
-                // maintained by the same delta rules as joins and
-                // aggregates. Adopt each recovered view at most once:
-                // two triggers with the same (component, threshold)
-                // registered two views on first boot, and each must
-                // reclaim its own — sharing one would leave the second
-                // trigger reading an already-taken changelog (silent
-                // starvation) and the other recovered view orphaned.
-                // Worlds recovered from pre-operator-tree snapshots
-                // carry legacy single-table views instead; those adopt
-                // too (pump reads both kinds through the same
-                // changelog API).
-                let plan = query.clone().into_plan();
+                // The threshold predicate lowers into a single-operator
+                // plan (Scan with the filter fused in). Adopt each
+                // recovered view at most once: two triggers with the
+                // same (component, threshold) registered two views on
+                // first boot, and each must reclaim its own — sharing
+                // one would leave the second trigger reading an
+                // already-taken changelog (silent starvation) and the
+                // other recovered view orphaned.
+                let plan = query.into_plan();
                 let view = adopt
                     .then(|| {
                         let used =
                             |v: ViewId| entries.iter().any(|(_, u, _, _)| *u == v);
                         world
-                            .plan_view_ids()
+                            .view_ids()
                             .into_iter()
                             .find(|&v| world.view_plan(v) == Some(&plan) && !used(v))
-                            .or_else(|| {
-                                world.view_ids().into_iter().find(|&v| {
-                                    world.view_query(v) == &query && !used(v)
-                                })
-                            })
                     })
                     .flatten()
                     .unwrap_or_else(|| {
@@ -412,14 +401,14 @@ mod tests {
         let (mut w, ids) = arena();
         let trig = dupes();
         let first_boot = ThresholdWatcher::register(&mut w, &trig);
-        assert_eq!(w.plan_view_ids().len(), 2, "one operator view per trigger");
+        assert_eq!(w.view_ids().len(), 2, "one view per trigger");
         drop(first_boot); // "crash": both views survive in the world
 
         // restart: each trigger must reclaim its OWN view — sharing one
         // would hand the second trigger an already-taken changelog
         let mut trig2 = dupes();
         let watcher = ThresholdWatcher::reattach(&mut w, &trig2);
-        assert_eq!(w.plan_view_ids().len(), 2, "adopted, not re-registered");
+        assert_eq!(w.view_ids().len(), 2, "adopted, not re-registered");
         w.set_f32(ids[0], "hp", 5.0).unwrap();
         let fired = watcher.pump(&mut w, &mut trig2);
         assert_eq!(

@@ -122,7 +122,7 @@ fn candidate_view_reattaches_after_recovery() {
     let (mut recovered, _) = decode(&encode(&w)).unwrap();
     let cv2 = CandidateView::reattach(&mut recovered, mob, 10.0).unwrap();
     assert_eq!(cv2.view(), cv.view(), "same recovered view handle");
-    assert_eq!(recovered.plan_view_ids().len(), 1);
+    assert_eq!(recovered.view_ids().len(), 1);
     assert_eq!(cv2.candidates(&recovered), &[prey]);
     // and it stays live: the prey leaves the radius
     let mut table = gamedb::sync::AggroTable::new();
